@@ -18,7 +18,6 @@ from masspcg import (
     apply_preconditioned,
     eigenvalue,
 )
-from masspcg.oracle import sine_vector
 
 # A grid is just (dimension, points per axis); h = 1/(n+1) follows.
 spec = GridSpec(2, 4)
@@ -43,8 +42,11 @@ print(f"\ncomposition check: max difference {np.max(np.abs(both - chained)):.2e}
 # Tensor-product sine vectors diagonalize all three operators at once.
 # Applying an operator to one returns the same vector, scaled by the
 # closed-form eigenvalue.
+# On the 2D grid the vector for frequencies k = (k1, k2) has entries
+# sin(pi*h*k1*i) * sin(pi*h*k2*j) at grid point (i, j).
 k = (2, 3)
-v = sine_vector(spec, k)
+i = np.arange(1, spec.n + 1)
+v = np.outer(np.sin(np.pi * spec.h * k[0] * i), np.sin(np.pi * spec.h * k[1] * i)).reshape(-1)
 for kind in OperatorKind:
     lam = eigenvalue(kind, spec, k)
     drift = np.max(np.abs(apply_operator(kind, spec, v) - lam * v))

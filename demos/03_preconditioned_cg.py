@@ -10,7 +10,8 @@ system and checks the observed speedup against the spectral prediction.
 
 import numpy as np
 
-from masspcg import GridSpec, SolveConfig, cg_solve, predicted_vs_observed
+from masspcg import GridSpec, SolveConfig, cg_solve
+from masspcg.experiments import iteration_row
 
 spec = GridSpec(2, 64)
 b = np.ones(spec.size)
@@ -34,14 +35,13 @@ for i in range(0, plain.iterations + 1, 10):
 gap = np.max(np.abs(plain.solution - mass.solution))
 print(f"\nmax difference between the two solutions: {gap:.2e}")
 
-# predicted_vs_observed wraps the pair of runs and the spectral prediction.
-report = predicted_vs_observed(spec, b, tol=tol)
-print(f"predicted iteration ratio sqrt(kappa/kappa_p) = {report.theoretical_ratio:.2f}, "
-      f"observed = {report.observed_ratio:.2f}")
+# iteration_row wraps the pair of runs (same ones right-hand side, same
+# relative tolerance) and the spectral prediction.
+row = iteration_row(2, 64)
+print(f"predicted iteration ratio sqrt(kappa/kappa_p) = {row.predicted_ratio:.2f}, "
+      f"observed = {row.observed_ratio:.2f}")
 
 # The same experiment in 3D, where the payoff is larger.
-spec3 = GridSpec(3, 32)
-b3 = np.ones(spec3.size)
-report3 = predicted_vs_observed(spec3, b3, tol=1e-8 * np.linalg.norm(b3))
-print(f"\n3D, n={spec3.n}: {report3.itn_unprec} vs {report3.itn_prec} iterations, "
-      f"observed {report3.observed_ratio:.2f}, predicted {report3.theoretical_ratio:.2f}")
+row3 = iteration_row(3, 32)
+print(f"\n3D, n={row3.n}: {row3.iterations} vs {row3.iterations_mass} iterations, "
+      f"observed {row3.observed_ratio:.2f}, predicted {row3.predicted_ratio:.2f}")

@@ -1,7 +1,7 @@
 """Matrix-free Dirichlet Laplacian, scaled mass operator, closed-form
 spectra, and conjugate gradients with multiply-only mass preconditioning."""
 
-from .grid import DimensionMismatchError, GridSpec, axpy, dot, norm2
+from .grid import DimensionMismatchError, GridSpec, dot, norm2
 from .operators import (
     OperatorKind,
     apply_laplacian,
@@ -10,12 +10,10 @@ from .operators import (
     apply_preconditioned,
 )
 from .solver import (
-    ComparisonReport,
     NumericalBreakdownError,
     SolveConfig,
     SolveReport,
     cg_solve,
-    predicted_vs_observed,
 )
 from .spectrum import (
     ASYMPTOTIC_RATIO_LIMIT,
@@ -35,7 +33,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ASYMPTOTIC_RATIO_LIMIT",
     "ClosedFormCheck",
-    "ComparisonReport",
     "DimensionMismatchError",
     "GridSpec",
     "NumericalBreakdownError",
@@ -49,14 +46,12 @@ __all__ = [
     "apply_mass",
     "apply_operator",
     "apply_preconditioned",
-    "axpy",
     "cg_solve",
     "closed_form_preconditioned_kappa",
     "dot",
     "eigenvalue",
     "full_spectrum",
     "norm2",
-    "predicted_vs_observed",
     "ratio_report",
     "spectrum_report",
     "__version__",

@@ -27,7 +27,6 @@ from .experiments import (
     TABLE1_SIZES,
     TABLE2_CASES,
     condition_cells,
-    condition_row,
     figure_datasets,
     iteration_cells,
     render_table,
@@ -48,11 +47,7 @@ EXIT_USAGE = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_RESOURCE = 3
 
-_KINDS = {
-    "laplacian": OperatorKind.LAPLACIAN,
-    "mass": OperatorKind.MASS,
-    "preconditioned": OperatorKind.PRECONDITIONED,
-}
+_KINDS = {kind.value: kind for kind in OperatorKind}
 
 #: Cases at or above this many unknowns get a time note before solving.
 _BIG_SOLVE = 1 << 20
@@ -129,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, action="append",
                    help=f"grid sizes (default: {' '.join(map(str, TABLE1_SIZES))})")
     _add_output_flags(p)
-    p.set_defaults(handler=_cmd_table1)
+    p.set_defaults(handler=_cmd_condition, dim=None)
 
     p = sub.add_parser("table2", help="iteration-count table, 2D and 3D")
     p.add_argument("--dim", type=int, choices=(2, 3), default=None,
@@ -167,7 +162,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_condition(args) -> int:
-    rows = [condition_row(args.dim, n) for n in args.n]
+    # `condition` names one dimension; `table1` covers d = 1, 2, 3
+    dims = (1, 2, 3) if args.dim is None else (args.dim,)
+    rows = table1_rows(args.n or TABLE1_SIZES, dims)
     write_text(render_table(CONDITION_HEADERS, condition_cells(rows), args.format), args.out)
     return EXIT_OK
 
@@ -182,13 +179,6 @@ def _cmd_solve(args) -> int:
         return EXIT_OK
     _note(f"no convergence within {report.iterations} iterations")
     return EXIT_NO_CONVERGENCE
-
-
-def _cmd_table1(args) -> int:
-    sizes = tuple(args.n) if args.n else TABLE1_SIZES
-    rows = table1_rows(sizes)
-    write_text(render_table(CONDITION_HEADERS, condition_cells(rows), args.format), args.out)
-    return EXIT_OK
 
 
 def _table2_cases(args):
@@ -209,44 +199,44 @@ def _cmd_table2(args) -> int:
                   "expect this cell to run for a minute or so")
     rows = table2_rows(cases, tol=args.tol, rhs=args.rhs, seed=args.seed, progress=_note)
     write_text(render_table(ITERATION_HEADERS, iteration_cells(rows), args.format), args.out)
-    return EXIT_OK
+    code = EXIT_OK
+    for r in rows:
+        for precond, iterations, converged in (("none", r.iterations, r.converged),
+                                               ("mass", r.iterations_mass, r.converged_mass)):
+            if not converged:
+                _note(f"d={r.d} n={r.n} precond={precond}: no convergence within {iterations} iterations")
+                code = EXIT_NO_CONVERGENCE
+    return code
 
 
 def _cmd_figures(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     extension = "csv" if args.format == "csv" else "md"
-    for name, headers, cells in figure_datasets(tol=args.tol, rhs=args.rhs,
-                                                seed=args.seed, progress=_note):
+    code = EXIT_OK
+    for name, headers, cells, report in figure_datasets(tol=args.tol, rhs=args.rhs,
+                                                        seed=args.seed, progress=_note):
         path = os.path.join(args.out, f"{name}.{extension}")
         write_text(render_table(headers, cells, args.format), path)
         _note(f"wrote {path}")
-    return EXIT_OK
+        if report is not None and not report.converged:
+            _note(f"{name}: no convergence within {report.iterations} iterations")
+            code = EXIT_NO_CONVERGENCE
+    return code
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:  # --help exits through argparse
         return exc.code if isinstance(exc.code, int) else EXIT_OK
-    try:
-        return args.handler(args)
-    except _UsageError as exc:
+    except (_UsageError, ValueError, SpectrumCapError, NumericalBreakdownError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, SpectrumCapError):
+            return EXIT_RESOURCE
+        if isinstance(exc, NumericalBreakdownError):
+            return EXIT_NO_CONVERGENCE
         return EXIT_USAGE
-    except SpectrumCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except NumericalBreakdownError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
 
 if __name__ == "__main__":
     sys.exit(main())

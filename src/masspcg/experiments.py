@@ -27,6 +27,7 @@ from .solver import SolveConfig, SolveReport, cg_solve
 from .spectrum import (
     ASYMPTOTIC_RATIO_LIMIT,
     DEFAULT_SPECTRUM_CAP,
+    RatioReport,
     full_spectrum,
     ratio_report,
 )
@@ -99,27 +100,8 @@ def run_solve(
     return cg_solve(spec, b, config=config)
 
 
-@dataclasses.dataclass(frozen=True)
-class ConditionRow:
-    """One condition-number table row: kappa of the plain operator, kappa_p
-    of the mass-preconditioned one, their ratio, and its square root (the
-    predicted iteration-count ratio)."""
-
-    d: int
-    n: int
-    kappa: float
-    kappa_p: float
-    ratio: float
-    sqrt_ratio: float
-
-
-def condition_row(d: int, n: int) -> ConditionRow:
-    report = ratio_report(GridSpec(d, n))
-    return ConditionRow(d, n, report.kappa, report.kappa_p, report.r, report.predicted_iter_ratio)
-
-
-def table1_rows(sizes=TABLE1_SIZES) -> list[ConditionRow]:
-    return [condition_row(d, n) for d in (1, 2, 3) for n in sizes]
+def table1_rows(sizes=TABLE1_SIZES, dims=(1, 2, 3)) -> list[RatioReport]:
+    return [ratio_report(GridSpec(d, n)) for d in dims for n in sizes]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,6 +130,8 @@ def iteration_row(
     rhs: str = "ones",
     seed: int = DEFAULT_SEED,
 ) -> IterationRow:
+    """Plain and mass-preconditioned CG on the same system, next to the
+    spectral prediction; non-convergence is flagged in the row, not raised."""
     spec = GridSpec(d, n)
     plain = run_solve(spec, tol=tol, precondition="none", rhs=rhs, seed=seed, record_history=False)
     mass = run_solve(spec, tol=tol, precondition="mass", rhs=rhs, seed=seed, record_history=False)
@@ -211,15 +195,15 @@ def residual_cells(report: SolveReport) -> list[tuple[str, str]]:
     return [(str(i), _fmt_value(v)) for i, v in enumerate(report.residual_history)]
 
 
-def condition_cells(rows: list[ConditionRow]) -> list[tuple[str, ...]]:
+def condition_cells(rows: list[RatioReport]) -> list[tuple[str, ...]]:
     return [
         (
-            str(r.d),
-            str(r.n),
+            str(r.spec.d),
+            str(r.spec.n),
             _fmt_fixed(r.kappa),
             _fmt_fixed(r.kappa_p),
-            _fmt_fixed(r.ratio),
-            _fmt_fixed(r.sqrt_ratio),
+            _fmt_fixed(r.r),
+            _fmt_fixed(r.predicted_iter_ratio),
         )
         for r in rows
     ]
@@ -272,11 +256,12 @@ def figure_datasets(
     seed: int = DEFAULT_SEED,
     progress=None,
 ):
-    """Yield (basename, headers, cells) for every figure dataset.
+    """Yield (basename, headers, cells, report) for every figure dataset.
 
     Spectrum files carry the sorted eigenvalues of the plain and the
-    mass-preconditioned operator on the same grid; residual files carry one
-    convergence history per preconditioning variant.
+    mass-preconditioned operator on the same grid (``report`` is None);
+    residual files carry one convergence history per preconditioning variant
+    (``report`` is its SolveReport).
     """
     for d, n in FIGURE_SPECTRUM_CASES:
         spec = GridSpec(d, n)
@@ -290,6 +275,7 @@ def figure_datasets(
                 f"spectrum_{tag}_{d}d_n{n}",
                 SPECTRUM_HEADERS,
                 spectrum_cells(kind, spec),
+                None,
             )
     for d, n in FIGURE_RESIDUAL_CASES:
         spec = GridSpec(d, n)
@@ -301,4 +287,5 @@ def figure_datasets(
                 f"residuals_{d}d_n{n}_{precondition}",
                 RESIDUAL_HEADERS,
                 residual_cells(report),
+                report,
             )

@@ -71,12 +71,3 @@ def dot(u: np.ndarray, v: np.ndarray) -> float:
 def norm2(u: np.ndarray) -> float:
     """Euclidean 2-norm, sqrt(dot(u, u))."""
     return float(np.linalg.norm(np.asarray(u, dtype=np.float64)))
-
-
-def axpy(alpha: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Return alpha*u + v as a new vector."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise DimensionMismatchError(f"axpy: shapes {u.shape} and {v.shape} differ")
-    return alpha * u + v

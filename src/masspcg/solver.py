@@ -11,13 +11,12 @@ past the threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import GridSpec, check_vector, dot, norm2
 from .operators import apply_laplacian, apply_mass
-from .spectrum import ratio_report
 
 
 class NumericalBreakdownError(RuntimeError):
@@ -68,19 +67,6 @@ class SolveReport:
     converged: bool
     residual_history: np.ndarray | None
     solution: np.ndarray
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Observed unpreconditioned/preconditioned iteration counts vs. the spectral prediction."""
-
-    spec: GridSpec
-    itn_unprec: int
-    itn_prec: int
-    observed_ratio: float
-    theoretical_ratio: float
-    converged_unprec: bool
-    converged_prec: bool
 
 
 def _check_scalar(value: float, what: str) -> float:
@@ -180,35 +166,4 @@ def cg_solve(
         converged=converged,
         residual_history=np.asarray(history) if cfg.record_history else None,
         solution=x,
-    )
-
-
-def predicted_vs_observed(
-    spec: GridSpec,
-    b: np.ndarray,
-    x0: np.ndarray | None = None,
-    tol: float = 1e-8,
-    max_iter: int | None = None,
-) -> ComparisonReport:
-    """Run the unpreconditioned and mass-preconditioned solves on identical data.
-
-    Pairs the observed iteration ratio with the spectral prediction
-    ``sqrt(kappa/kappa_p)``. Non-convergence of either solve is flagged in the
-    report, not raised.
-    """
-    unprec = cg_solve(
-        spec, b, x0, SolveConfig(tol=tol, max_iter=max_iter, precondition="none", record_history=False)
-    )
-    prec = cg_solve(
-        spec, b, x0, SolveConfig(tol=tol, max_iter=max_iter, precondition="mass", record_history=False)
-    )
-    observed = unprec.iterations / prec.iterations if prec.iterations > 0 else math.nan
-    return ComparisonReport(
-        spec=spec,
-        itn_unprec=unprec.iterations,
-        itn_prec=prec.iterations,
-        observed_ratio=observed,
-        theoretical_ratio=ratio_report(spec).predicted_iter_ratio,
-        converged_unprec=unprec.converged,
-        converged_prec=prec.converged,
     )

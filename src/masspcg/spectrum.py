@@ -133,19 +133,32 @@ def _check_indices(spec: GridSpec, k) -> tuple[int, ...]:
     return k
 
 
+def _eigenvalues(kind: OperatorKind, spec: GridSpec, cosines):
+    """Closed-form eigenvalues from per-axis cosines ``cosines[j] = cos(pi*h*k_j)``.
+
+    The entries may be scalars or broadcastable arrays. The sum and product
+    accumulate left to right over the axes, so every caller gets bit-identical
+    values for the same frequency tuple.
+    """
+    s, p = 0.0, 1.0
+    for c in cosines:
+        s = s + (1.0 - c)
+        p = p * (2.0 + c)
+    h = spec.h
+    if kind is OperatorKind.LAPLACIAN:
+        return 2.0 / h**2 * s
+    if kind is OperatorKind.MASS:
+        return h**2 / 3.0**spec.d * p
+    return 2.0 / 3.0**spec.d * p * s
+
+
 def eigenvalue(kind: OperatorKind, spec: GridSpec, k) -> float:
     """Closed-form eigenvalue of the operator at frequency tuple ``k``.
 
     Each ``k_j`` must lie in ``{1..n}``; raises ValueError otherwise.
     """
-    k = _check_indices(spec, k)
-    c = np.cos(pi * spec.h * np.asarray(k, dtype=np.float64))
-    h = spec.h
-    if kind is OperatorKind.LAPLACIAN:
-        return float(2.0 / h**2 * np.sum(1.0 - c))
-    if kind is OperatorKind.MASS:
-        return float(h**2 / 3.0**spec.d * np.prod(2.0 + c))
-    return float(2.0 / 3.0**spec.d * np.prod(2.0 + c) * np.sum(1.0 - c))
+    c = axis_cosines(spec)
+    return float(_eigenvalues(kind, spec, [c[kj - 1] for kj in _check_indices(spec, k)]))
 
 
 def full_spectrum(
@@ -157,34 +170,8 @@ def full_spectrum(
     """
     if spec.size > cap:
         raise SpectrumCapError(required=spec.size, allowed=cap)
-    c = axis_cosines(spec)
-    grids = np.meshgrid(*([c] * spec.d), indexing="ij")
-    s = grids[0] * 0.0
-    p = np.ones_like(grids[0])
-    for g in grids:
-        s = s + (1.0 - g)
-        p = p * (2.0 + g)
-    h = spec.h
-    if kind is OperatorKind.LAPLACIAN:
-        lam = 2.0 / h**2 * s
-    elif kind is OperatorKind.MASS:
-        lam = h**2 / 3.0**spec.d * p
-    else:
-        lam = 2.0 / 3.0**spec.d * p * s
-    lam = np.sort(lam.reshape(-1))
-    return lam
-
-
-def _corner_extreme(kind: OperatorKind, spec: GridSpec, want_max: bool):
-    """Extreme over the 2**d corner tuples (every k_j in {1, n})."""
-    best_val = None
-    best_tuple = None
-    for corner in itertools.product((1, spec.n), repeat=spec.d):
-        t = tuple(sorted(corner))
-        val = eigenvalue(kind, spec, t)
-        if best_val is None or (val > best_val if want_max else val < best_val):
-            best_val, best_tuple = val, t
-    return best_val, best_tuple
+    cosines = np.meshgrid(*([axis_cosines(spec)] * spec.d), indexing="ij", sparse=True)
+    return np.sort(_eigenvalues(kind, spec, cosines).reshape(-1))
 
 
 def _preconditioned_max(spec: GridSpec) -> tuple[int, ...]:
@@ -198,9 +185,9 @@ def _preconditioned_max(spec: GridSpec) -> tuple[int, ...]:
     """
     n, d = spec.n, spec.d
     k_all = np.arange(1, n + 1)
-    c = np.cos(pi * spec.h * k_all)
+    c = axis_cosines(spec)
     if d == 1:
-        lam = (2.0 + c) * (1.0 - c)
+        lam = _eigenvalues(OperatorKind.PRECONDITIONED, spec, (c,))
         return (int(k_all[np.argmax(lam)]),)
 
     order = np.argsort(c)  # ascending cosines
@@ -278,7 +265,8 @@ def spectrum_report(kind: OperatorKind, spec: GridSpec) -> SpectrumReport:
     elif kind is OperatorKind.MASS:
         argmin, argmax = (n,) * d, (1,) * d
     else:
-        _, argmin = _corner_extreme(kind, spec, want_max=False)
+        corners = (tuple(sorted(t)) for t in itertools.product((1, n), repeat=d))
+        argmin = min(corners, key=lambda t: eigenvalue(kind, spec, t))
         argmax = _preconditioned_max(spec)
     lambda_min = eigenvalue(kind, spec, argmin)
     lambda_max = eigenvalue(kind, spec, argmax)

@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import GridSpec
-from .operators import OperatorKind
+from masspcg.grid import GridSpec
+from masspcg.operators import OperatorKind
 
 #: Largest dense system assembled (rows = n**d).
 DENSE_SIZE_CAP = 4096

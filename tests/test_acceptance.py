@@ -44,7 +44,7 @@ from masspcg import (
 )
 from masspcg.cli import main
 from masspcg.experiments import iteration_row
-from masspcg.oracle import assemble_dense, rayleigh_eigenvalues
+from oracle import assemble_dense, rayleigh_eigenvalues
 
 # reference condition numbers: kappa is dimension-independent, kappa_p is not
 KAPPA_REF = {8: 32.1634, 16: 116.4612, 32: 440.6886}

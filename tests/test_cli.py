@@ -133,6 +133,15 @@ def test_table2_n_requires_dim(capsys):
     assert "requires --dim" in err
 
 
+def test_table2_non_convergence_exit_code(capsys):
+    # an unreachable tolerance: both solves stop at the 10*N iteration cap
+    code, out, err = run_cli(capsys, "table2", "--dim", "2", "--n", "4", "--tol", "1e-17")
+    assert code == EXIT_NO_CONVERGENCE
+    assert out.splitlines()[1] == "2,4,16,160,160,2.12,1.00"
+    assert "d=2 n=4 precond=none: no convergence within 160 iterations" in err
+    assert "d=2 n=4 precond=mass: no convergence within 160 iterations" in err
+
+
 def test_usage_errors(capsys):
     assert run_cli(capsys, "bogus")[0] == EXIT_USAGE
     assert run_cli(capsys)[0] == EXIT_USAGE
@@ -148,11 +157,15 @@ def test_help_exits_zero(capsys):
     assert run_cli(capsys, "solve", "--help")[0] == EXIT_OK
 
 
-def test_figures_writes_expected_files(tmp_path, capsys, monkeypatch):
+def _tiny_figure_cases(monkeypatch):
     # shrink the figure cases so the command stays fast in unit tests; the
     # full-size datasets are exercised by the acceptance suite
     monkeypatch.setattr(experiments, "FIGURE_SPECTRUM_CASES", ((1, 4),))
     monkeypatch.setattr(experiments, "FIGURE_RESIDUAL_CASES", ((1, 6),))
+
+
+def test_figures_writes_expected_files(tmp_path, capsys, monkeypatch):
+    _tiny_figure_cases(monkeypatch)
     outdir = tmp_path / "figs"
     code, _, err = run_cli(capsys, "figures", "--out", str(outdir))
     assert code == EXIT_OK
@@ -167,6 +180,16 @@ def test_figures_writes_expected_files(tmp_path, capsys, monkeypatch):
         first = p.read_text().splitlines()[0]
         assert first in ("index,eigenvalue", "iter,residual_norm")
     assert "wrote" in err
+
+
+def test_figures_non_convergence_exit_code(tmp_path, capsys, monkeypatch):
+    _tiny_figure_cases(monkeypatch)
+    outdir = tmp_path / "figs"
+    code, _, err = run_cli(capsys, "figures", "--out", str(outdir), "--tol", "1e-17")
+    assert code == EXIT_NO_CONVERGENCE
+    assert "residuals_1d_n6_none: no convergence within 60 iterations" in err
+    assert "residuals_1d_n6_mass: no convergence within 60 iterations" in err
+    assert len(list(outdir.iterdir())) == 4
 
 
 def test_file_output_is_byte_identical(tmp_path, capsys):

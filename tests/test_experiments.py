@@ -10,7 +10,6 @@ from masspcg.experiments import (
     TABLE1_SIZES,
     TABLE2_CASES,
     condition_cells,
-    condition_row,
     iteration_cells,
     iteration_row,
     make_rhs,
@@ -70,19 +69,21 @@ def test_run_solve_uses_relative_threshold(rhs):
     assert norm2(b - apply_laplacian(spec, report.solution)) <= tol * norm2(b)
 
 
-def test_condition_row_matches_ratio_report():
-    row = condition_row(2, 16)
+def test_condition_cells_format_ratio_report():
     report = ratio_report(GridSpec(2, 16))
-    assert (row.d, row.n) == (2, 16)
-    assert row.kappa == report.kappa
-    assert row.kappa_p == report.kappa_p
-    assert row.ratio == report.r
-    assert row.sqrt_ratio == report.predicted_iter_ratio
+    assert condition_cells([report]) == [(
+        "2",
+        "16",
+        f"{report.kappa:.4f}",
+        f"{report.kappa_p:.4f}",
+        f"{report.r:.4f}",
+        f"{report.predicted_iter_ratio:.4f}",
+    )]
 
 
 def test_table1_covers_the_grid():
     rows = table1_rows()
-    assert [(r.d, r.n) for r in rows] == [(d, n) for d in (1, 2, 3) for n in TABLE1_SIZES]
+    assert [(r.spec.d, r.spec.n) for r in rows] == [(d, n) for d in (1, 2, 3) for n in TABLE1_SIZES]
 
 
 def test_table1_formatting_four_decimals():
@@ -104,6 +105,15 @@ def test_iteration_row_2d_small():
     cells = iteration_cells([row])[0]
     assert cells[2] == "256"
     assert cells[5] == "2.12"
+
+
+def test_iteration_row_plain_vs_mass_matches_prediction():
+    row = iteration_row(2, 24)
+    assert row.converged and row.converged_mass
+    assert row.iterations > row.iterations_mass
+    assert row.observed_ratio == pytest.approx(row.iterations / row.iterations_mass, rel=1e-12)
+    # observed should land in the right neighborhood of the prediction
+    assert abs(row.observed_ratio - row.predicted_ratio) < 0.5
 
 
 def test_table2_case_list():

@@ -1,0 +1,57 @@
+"""Golden CLI outputs: the sha256 of stdout, the stderr text and the exit code
+of each command below are pinned, so a refactor that changes one byte of
+what the tool prints fails here.
+
+The digests were recorded on Python 3.11; argparse's help layout can differ
+on other Python versions, and the help texts are rendered at 80 columns.
+"""
+
+import hashlib
+
+import pytest
+
+from masspcg.cli import main
+
+GOLDEN = [
+    (("table1",), 0,
+     "b8fa49c7dbafbebad5e7bebc1876377decef691d4fbc9e1382a8452df8e17c15", ""),
+    (("table1", "--n", "8", "--n", "20", "--format", "markdown"), 0,
+     "3ac1f8a3df189d247381c2ca249e8ba610533494ff221f48e5027abc6c2a907d", ""),
+    (("condition", "--dim", "1", "--n", "32", "--n", "100", "--n", "512"), 0,
+     "ad2bbf053370cafcde94ee80e52fec99d32840297ded3c020cf3a055fd58ad78", ""),
+    (("condition", "--dim", "2", "--n", "32", "--n", "100", "--n", "512"), 0,
+     "13a03103b219f3f807c3da7bdb147e60326515e2679fd0c51154c503a35f8bb4", ""),
+    (("condition", "--dim", "3", "--n", "32", "--n", "100", "--n", "512"), 0,
+     "1149b6abd76345983447b2822bb8e9ee3ce0f106437db73be2abdeab92737290", ""),
+    (("spectrum", "--dim", "3", "--n", "20", "--kind", "laplacian"), 0,
+     "a0e176238d3e46a06e21e9e9b1bed8e2e0f34553e3f1e0b44cc33cb091e0a299", ""),
+    (("spectrum", "--dim", "3", "--n", "20", "--kind", "mass"), 0,
+     "4b68d5b416f72e6053a472298c07b15e77221abbddc6175ed5a10f6b84211a82", ""),
+    (("spectrum", "--dim", "2", "--n", "12", "--kind", "preconditioned"), 0,
+     "ac4b9d5e4ce64d9bcb52e3ca5160650e17b9e2ac5a3f9ab65632f76b727c9501", ""),
+    (("spectrum", "--dim", "3", "--n", "20", "--kind", "preconditioned"), 0,
+     "6f60c862dcc153d5e97befaec0a7719df37cc7131c1d4d820ed63710c048177e", ""),
+    (("solve", "--dim", "2", "--n", "16", "--precond", "mass", "--rhs", "random", "--seed", "3"), 0,
+     "aac71d4a31cec679f45e3f32039a924f2080556c91ceb4afb62f0aa9db023c74",
+     "converged in 24 iterations\n"),
+    (("table2", "--dim", "2", "--n", "16", "--n", "32"), 0,
+     "03c286fcb837d305209e3aae1fc81d1bc51bb2995b513e084ba6c427fafd3d10",
+     "solving d=2 n=16 (256 unknowns)\nsolving d=2 n=32 (1024 unknowns)\n"),
+    (("spectrum", "--help"), 0,
+     "60489aa28e5a020690608fb2861422fa7f44d3e6154a395f3d0ef71a4c2aa70a", ""),
+    (("condition", "--help"), 0,
+     "5765adfed486d623551d417101c6810a19fb96ac18f4411a5d011e7b21ca1715", ""),
+    (("table1", "--help"), 0,
+     "5983a5be8b19aa3ccf843dc1bf0d4ec44472137c0526402cc75f31dc4bc1b256", ""),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout_sha256, stderr", GOLDEN, ids=[" ".join(case[0]) for case in GOLDEN]
+)
+def test_cli_output_is_pinned(argv, code, stdout_sha256, stderr, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(list(argv)) == code
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == stdout_sha256
+    assert captured.err == stderr

@@ -12,7 +12,7 @@ from masspcg import (
     dot,
     eigenvalue,
 )
-from masspcg.oracle import sine_vector
+from oracle import sine_vector
 
 ALL_KINDS = list(OperatorKind)
 SMALL_SPECS = [GridSpec(d, n) for d in (1, 2, 3) for n in (1, 2, 3, 5, 8)]

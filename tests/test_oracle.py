@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from masspcg import GridSpec, OperatorKind, apply_operator, eigenvalue
-from masspcg.oracle import (
+from oracle import (
     DENSE_SIZE_CAP,
     assemble_dense,
     rayleigh_eigenvalues,

@@ -9,7 +9,6 @@ from masspcg import (
     cg_solve,
     dot,
     norm2,
-    predicted_vs_observed,
 )
 
 SPECS = [GridSpec(1, 40), GridSpec(2, 12), GridSpec(3, 5)]
@@ -181,13 +180,3 @@ def test_config_validation():
         SolveConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolveConfig(precondition="jacobi")
-
-
-def test_predicted_vs_observed_smoke():
-    spec = GridSpec(2, 24)
-    report = predicted_vs_observed(spec, np.ones(spec.size), tol=1e-8)
-    assert report.converged_unprec and report.converged_prec
-    assert report.itn_unprec > report.itn_prec
-    assert report.observed_ratio == pytest.approx(report.itn_unprec / report.itn_prec, rel=1e-12)
-    # observed should land in the right neighborhood of the prediction
-    assert abs(report.observed_ratio - report.theoretical_ratio) < 0.5

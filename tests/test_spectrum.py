@@ -64,7 +64,8 @@ def test_full_spectrum_sorted_and_complete(kind, spec):
         for k in np.ndindex(*spec.shape)
         for k in [tuple(x + 1 for x in k)]
     )
-    np.testing.assert_allclose(values, expected, rtol=1e-13)
+    # both come from one closed-form routine, so they agree bit for bit
+    np.testing.assert_array_equal(values, expected)
 
 
 def test_full_spectrum_cap():
