@@ -24,6 +24,7 @@ from .experiments import (
     RESIDUAL_HEADERS,
     RHS_KINDS,
     SPECTRUM_HEADERS,
+    SolveMemoryError,
     TABLE1_SIZES,
     TABLE2_CASES,
     condition_cells,
@@ -230,9 +231,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except SystemExit as exc:  # --help exits through argparse
         return exc.code if isinstance(exc.code, int) else EXIT_OK
-    except (_UsageError, ValueError, SpectrumCapError, NumericalBreakdownError) as exc:
+    except (_UsageError, ValueError, SpectrumCapError, SolveMemoryError, NumericalBreakdownError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, SpectrumCapError):
+        if isinstance(exc, (SpectrumCapError, SolveMemoryError)):
             return EXIT_RESOURCE
         if isinstance(exc, NumericalBreakdownError):
             return EXIT_NO_CONVERGENCE

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import sys
 
 import numpy as np
 
 from .grid import GridSpec, norm2
 from .operators import OperatorKind
-from .solver import SolveConfig, SolveReport, cg_solve
+from .solver import WORK_VECTORS, SolveConfig, SolveReport, cg_solve
 from .spectrum import (
     ASYMPTOTIC_RATIO_LIMIT,
     DEFAULT_SPECTRUM_CAP,
@@ -79,6 +80,10 @@ def make_rhs(spec: GridSpec, kind: str = "ones", seed: int = DEFAULT_SEED) -> np
     return rhs_random(spec, seed)
 
 
+class SolveMemoryError(RuntimeError):
+    """A solve's work vectors would not fit in physical memory."""
+
+
 def run_solve(
     spec: GridSpec,
     *,
@@ -89,7 +94,19 @@ def run_solve(
     max_iter: int | None = None,
     record_history: bool = True,
 ) -> SolveReport:
-    """CG solve with the relative stopping rule ||r_i|| < tol * ||b||."""
+    """CG solve with the relative stopping rule ||r_i|| < tol * ||b||.
+
+    Raises SolveMemoryError, before allocating anything, when the solve's
+    work vectors would exceed physical memory.
+    """
+    # an unknown precondition kind counts 0 here; SolveConfig rejects it below
+    needed = WORK_VECTORS.get(precondition, 0) * 8 * spec.size
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if needed > physical:
+        raise SolveMemoryError(
+            f"d={spec.d} n={spec.n} solve needs {needed} bytes of work vectors, "
+            f"physical memory is {physical} bytes"
+        )
     b = make_rhs(spec, rhs, seed)
     config = SolveConfig(
         tol=tol * norm2(b),

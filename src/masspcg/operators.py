@@ -32,6 +32,12 @@ class OperatorKind(enum.Enum):
     PRECONDITIONED = "preconditioned"
 
 
+#: Most unknowns in one slab. The operators sweep the grid in slabs of whole
+#: axis-0 planes (one plane when a single plane is larger), so the several
+#: passes each slab takes stay in cache instead of streaming the whole vector.
+SLAB = 1 << 16
+
+
 def _axis_slices(ndim: int, axis: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
     """Slice pairs (lo, hi) selecting all-but-last / all-but-first along ``axis``."""
     lo = [slice(None)] * ndim
@@ -41,7 +47,36 @@ def _axis_slices(ndim: int, axis: int) -> tuple[tuple[slice, ...], tuple[slice, 
     return tuple(lo), tuple(hi)
 
 
-def apply_laplacian(spec: GridSpec, u: np.ndarray) -> np.ndarray:
+def _slabs(spec: GridSpec) -> tuple[list[tuple[int, int]], int]:
+    """Axis-0 plane ranges [a, b) covering the grid, and the largest slab's size."""
+    plane = spec.size // spec.n
+    rows = max(1, SLAB // plane)
+    return [(a, min(a + rows, spec.n)) for a in range(0, spec.n, rows)], rows * plane
+
+
+def _axis0_neighbors(n: int, a: int, b: int) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
+    """(slab rows, input rows) for the +1 then the -1 axis-0 neighbour of rows a..b-1.
+
+    Input rows are global, so a slab reads one halo plane on each side.
+    """
+    stop = min(b, n - 1)
+    start = max(a, 1)
+    return (slice(0, stop - a), slice(a + 1, stop + 1)), (slice(start - a, b - a), slice(start - 1, b - 1))
+
+
+def _output(spec: GridSpec, u: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """Validate a caller's ``out`` buffer, or allocate one."""
+    if out is None:
+        return np.empty(spec.size)
+    if not isinstance(out, np.ndarray) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError("out must be a contiguous float64 ndarray")
+    check_vector(spec, out, "out")
+    if np.may_share_memory(out, u):
+        raise ValueError("out must not share memory with u")
+    return out
+
+
+def apply_laplacian(spec: GridSpec, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Apply the d-dimensional finite-difference Laplacian with Dirichlet closure.
 
     Parameters
@@ -50,42 +85,66 @@ def apply_laplacian(spec: GridSpec, u: np.ndarray) -> np.ndarray:
         Grid the vector lives on.
     u : ndarray
         Flat vector of length ``spec.size`` in lexicographic ordering.
+    out : ndarray, optional
+        Contiguous float64 vector of length ``spec.size`` to write into; it
+        must not share memory with ``u``. A new vector when omitted.
 
     Returns
     -------
     ndarray
-        ``A_d @ u`` as a new flat vector.
+        ``A_d @ u``, flat (``out`` when given).
     """
     u = check_vector(spec, u)
+    out = _output(spec, u, out)
     v = u.reshape(spec.shape)
-    out = (2.0 * spec.d) * v
-    for axis in range(spec.d):
-        lo, hi = _axis_slices(spec.d, axis)
-        out[lo] -= v[hi]
-        out[hi] -= v[lo]
-    out /= spec.h**2
-    return out.reshape(-1)
+    w = out.reshape(spec.shape)
+    for a, b in _slabs(spec)[0]:
+        o, vs = w[a:b], v[a:b]
+        np.multiply(vs, 2.0 * spec.d, out=o)
+        for rows, src in _axis0_neighbors(spec.n, a, b):
+            o[rows] -= v[src]
+        for axis in range(1, spec.d):
+            lo, hi = _axis_slices(spec.d, axis)
+            o[lo] -= vs[hi]
+            o[hi] -= vs[lo]
+        o /= spec.h**2
+    return out
 
 
-def apply_mass(spec: GridSpec, u: np.ndarray) -> np.ndarray:
+def apply_mass(spec: GridSpec, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Apply the scaled finite-element mass operator with Dirichlet closure.
 
     Implemented as d successive 1D tridiagonal sweeps with weights
     ``(h/6)*(1, 4, 1)``, one along each axis, times the dimensional scale
-    ``h**(2-d)``.
+    ``h**(2-d)``. Per slab, the sweeps alternate between ``out`` and one
+    slab-sized scratch buffer so that the last one lands in ``out``. ``out``
+    is as in :func:`apply_laplacian`.
     """
     u = check_vector(spec, u)
+    out = _output(spec, u, out)
     h = spec.h
     v = u.reshape(spec.shape)
-    for axis in range(spec.d):
-        w = 4.0 * v
-        lo, hi = _axis_slices(spec.d, axis)
-        w[lo] += v[hi]
-        w[hi] += v[lo]
-        w *= h / 6.0
-        v = w
-    v *= h ** (2 - spec.d)
-    return v.reshape(-1)
+    w = out.reshape(spec.shape)
+    slabs, largest = _slabs(spec)
+    scratch = np.empty(largest)
+    for a, b in slabs:
+        target = w[a:b]
+        spare = scratch[: target.size].reshape(target.shape)
+        # sweep k writes to target when d-1-k is even, so the last one does
+        dst = target if spec.d % 2 == 1 else spare
+        np.multiply(v[a:b], 4.0, out=dst)
+        for rows, src in _axis0_neighbors(spec.n, a, b):
+            dst[rows] += v[src]
+        dst *= h / 6.0
+        for axis in range(1, spec.d):
+            src, dst = dst, (spare if dst is target else target)
+            np.multiply(src, 4.0, out=dst)
+            lo, hi = _axis_slices(spec.d, axis)
+            dst[lo] += src[hi]
+            dst[hi] += src[lo]
+            dst *= h / 6.0
+        target *= h ** (2 - spec.d)
+    return out
 
 
 def apply_preconditioned(spec: GridSpec, u: np.ndarray) -> np.ndarray:

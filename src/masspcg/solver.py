@@ -6,6 +6,10 @@ recursively updated residual against ``tol``; on (apparent) convergence the
 residual is recomputed from scratch once as a drift guard, and iteration
 resumes from the true residual in the unlikely case the recurrence had drifted
 past the threshold.
+
+A solve allocates its work vectors once, before the first iteration, and
+updates them in place in chunks of ``SLAB`` entries; the inner products and
+norms stay whole-vector calls, so no sum is reordered.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, check_vector, dot, norm2
-from .operators import apply_laplacian, apply_mass
+from .operators import SLAB, apply_laplacian, apply_mass
 
 
 class NumericalBreakdownError(RuntimeError):
@@ -24,6 +28,9 @@ class NumericalBreakdownError(RuntimeError):
 
 
 PRECONDITION_KINDS = ("none", "mass")
+
+#: Length-N float64 vectors one solve holds: b, x, r, p, Ap, and z for mass.
+WORK_VECTORS = {"none": 5, "mass": 6}
 
 
 @dataclass(frozen=True)
@@ -75,6 +82,13 @@ def _check_scalar(value: float, what: str) -> float:
     return value
 
 
+def _inner_zr(r: np.ndarray, z: np.ndarray) -> float:
+    rz = _check_scalar(dot(r, z), "<z, r>")
+    if rz < 0.0:
+        raise NumericalBreakdownError(f"<z, r> = {rz} is not positive")
+    return rz
+
+
 def cg_solve(
     spec: GridSpec,
     b: np.ndarray,
@@ -99,13 +113,15 @@ def cg_solve(
     -------
     SolveReport
         Iteration count, convergence flag, residual history, and the solution.
-        Hitting max_iter yields converged=False, not an error.
+        Hitting max_iter yields converged=False, not an error, and so does
+        ``<z,r>`` underflowing to exactly zero with a finite residual (the
+        attainable-accuracy floor of a tolerance far below rounding).
 
     Raises
     ------
     NumericalBreakdownError
-        If a quantity that is positive for SPD operators (``<z,r>``, ``<p,Ap>``)
-        comes out non-positive or non-finite.
+        If ``<p,Ap>`` comes out non-positive, ``<z,r>`` negative, or either
+        (or the residual norm) non-finite; SPD operators rule these out.
     """
     cfg = config if config is not None else SolveConfig()
     b = check_vector(spec, b, "b")
@@ -116,49 +132,59 @@ def cg_solve(
         x = check_vector(spec, x0, "x0").copy()
         r = b - apply_laplacian(spec, x)
     max_iter = cfg.resolved_max_iter(spec)
-
-    precondition = (lambda v: apply_mass(spec, v)) if cfg.precondition == "mass" else (lambda v: v)
+    mass = cfg.precondition == "mass"
 
     res = _check_scalar(norm2(r), "residual norm")
     history = [res]
     iterations = 0
     converged = res < cfg.tol
 
+    rz = 0.0
     if not converged:
-        z = precondition(r)
+        z = apply_mass(spec, r) if mass else r
         p = z.copy()
-        rz = _check_scalar(dot(r, z), "<z, r>")
-        if rz <= 0.0:
-            raise NumericalBreakdownError(f"<z, r> = {rz} is not positive")
+        Ap = np.empty(spec.size)
+        t = np.empty(min(SLAB, spec.size))
+        chunks = [slice(i, i + SLAB) for i in range(0, spec.size, SLAB)]
+        steps = [(x[s], r[s], p[s], Ap[s], t[: len(x[s])]) for s in chunks]
+        directions = [(p[s], z[s]) for s in chunks]
+        rz = _inner_zr(r, z)
 
-    while not converged and iterations < max_iter:
-        Ap = apply_laplacian(spec, p)
+    # rz stays 0.0 when r0 already passes; otherwise a zero <z, r> has
+    # underflowed at the attainable-accuracy floor: stop unconverged
+    while rz > 0.0 and iterations < max_iter:
+        apply_laplacian(spec, p, out=Ap)
         pAp = _check_scalar(dot(p, Ap), "<p, Ap>")
         if pAp <= 0.0:
             raise NumericalBreakdownError(f"<p, Ap> = {pAp} is not positive")
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        for xs, rs, ps, Aps, ts in steps:
+            np.multiply(ps, alpha, out=ts)
+            xs += ts
+            np.multiply(Aps, alpha, out=ts)
+            rs -= ts
         res = _check_scalar(norm2(r), "residual norm")
         history.append(res)
         iterations += 1
         if res < cfg.tol:
             # Drift guard: confirm with a from-scratch residual; if the
-            # recurrence drifted, resume from the true residual.
-            r_true = b - apply_laplacian(spec, x)
-            res_true = norm2(r_true)
-            if res_true < cfg.tol:
+            # recurrence drifted, resume from the true residual. It is
+            # written into r in place, since z is r in plain CG.
+            np.subtract(b, apply_laplacian(spec, x, out=Ap), out=r)
+            res = norm2(r)
+            if res < cfg.tol:
                 converged = True
                 break
-            r = r_true
-            res = res_true
             history[-1] = res
-        z = precondition(r)
-        rz_new = _check_scalar(dot(r, z), "<z, r>")
-        if rz_new <= 0.0:
-            raise NumericalBreakdownError(f"<z, r> = {rz_new} is not positive")
+        if mass:
+            apply_mass(spec, r, out=z)
+        rz_new = _inner_zr(r, z)
+        if rz_new == 0.0:
+            break
         beta = rz_new / rz
-        p = z + beta * p
+        for ps, zs in directions:
+            ps *= beta
+            ps += zs
         rz = rz_new
 
     return SolveReport(

@@ -9,6 +9,11 @@ reported so the check certifies the basis is exact, not just consistent.
 
 Dense matrices are plain 2-D float64 arrays. Everything here is test support;
 sizes are capped at 4096 rows.
+
+``reference_laplacian`` and ``reference_mass`` apply the stencils to the whole
+array at once, one pass per neighbour. The slab-tiled operators make the same
+floating-point operations in the same order per element, so they must match
+these bit for bit on any grid size, including grids far past the dense cap.
 """
 
 from __future__ import annotations
@@ -59,6 +64,41 @@ def _mass_dense(spec: GridSpec) -> np.ndarray:
     factor = h / 6.0 * (4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1))
     M = reduce(np.kron, [factor] * spec.d)
     return h ** (2 - spec.d) * M
+
+
+def _axis_slices(ndim: int, axis: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+    lo = [slice(None)] * ndim
+    hi = [slice(None)] * ndim
+    lo[axis] = slice(0, -1)
+    hi[axis] = slice(1, None)
+    return tuple(lo), tuple(hi)
+
+
+def reference_laplacian(spec: GridSpec, u: np.ndarray) -> np.ndarray:
+    """Whole-array Laplacian stencil: one pass over the grid per neighbour."""
+    v = u.reshape(spec.shape)
+    out = (2.0 * spec.d) * v
+    for axis in range(spec.d):
+        lo, hi = _axis_slices(spec.d, axis)
+        out[lo] -= v[hi]
+        out[hi] -= v[lo]
+    out /= spec.h**2
+    return out.reshape(-1)
+
+
+def reference_mass(spec: GridSpec, u: np.ndarray) -> np.ndarray:
+    """Whole-array mass operator: d full 1D sweeps, then the scale h**(2-d)."""
+    h = spec.h
+    v = u.reshape(spec.shape)
+    for axis in range(spec.d):
+        w = 4.0 * v
+        lo, hi = _axis_slices(spec.d, axis)
+        w[lo] += v[hi]
+        w[hi] += v[lo]
+        w *= h / 6.0
+        v = w
+    v *= h ** (2 - spec.d)
+    return v.reshape(-1)
 
 
 def assemble_dense(kind: OperatorKind, spec: GridSpec) -> np.ndarray:

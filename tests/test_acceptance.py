@@ -21,11 +21,9 @@ Criteria, tolerances as asserted below:
      equivalence, byte-identical CSV output.
 """
 
-import itertools
 import time
 
 import numpy as np
-import pytest
 
 from masspcg import (
     GridSpec,
@@ -37,7 +35,6 @@ from masspcg import (
     dot,
     eigenvalue,
     full_spectrum,
-    norm2,
     ratio_report,
     spectrum_report,
     SolveConfig,

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,41 @@ def test_solve_non_convergence_exit_code(capsys):
     code, _, err = run_cli(capsys, "solve", "--dim", "1", "--n", "16", "--tol", "1e-300")
     assert code == EXIT_NO_CONVERGENCE
     assert "no convergence" in err
+
+
+def test_solve_zr_underflow_is_non_convergence(tmp_path, capsys):
+    # <z, r> underflows to 0.0 at the attainable-accuracy floor: the command
+    # reports non-convergence and still writes the residual history
+    target = tmp_path / "history.csv"
+    code, _, err = run_cli(capsys, "solve", "--dim", "1", "--n", "6", "--precond", "mass",
+                           "--tol", "1e-300", "--out", str(target))
+    assert code == EXIT_NO_CONVERGENCE
+    assert "is not positive" not in err
+    lines = target.read_text().splitlines()
+    assert lines[0] == "iter,residual_norm"
+    assert err == f"no convergence within {len(lines) - 2} iterations\n"
+
+
+def test_solve_memory_check_before_allocation(capsys):
+    # about 1 TB per work vector: refused before the right-hand side exists
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "solve", "--dim", "3", "--n", "5000")
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    assert "physical memory" in err
+
+
+@pytest.mark.parametrize("argv", [("table2", "--dim", "3", "--n", "5000"),
+                                  ("figures", "--out", "figs")])
+def test_solve_backed_commands_memory_check(argv, tmp_path, capsys, monkeypatch):
+    # figures makes one oversized solve and nothing else
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(experiments, "FIGURE_SPECTRUM_CASES", ())
+    monkeypatch.setattr(experiments, "FIGURE_RESIDUAL_CASES", ((3, 5000),))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_RESOURCE
+    assert "physical memory" in err
 
 
 def test_solve_random_rhs_depends_on_seed(capsys):

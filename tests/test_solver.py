@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import masspcg.solver as solver
 from masspcg import (
     GridSpec,
     SolveConfig,
@@ -180,3 +181,43 @@ def test_config_validation():
         SolveConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolveConfig(precondition="jacobi")
+
+
+def test_drift_guard_replaces_residual_at_accuracy_floor(monkeypatch):
+    # the CLI's `solve --dim 1 --n 6 --precond none --tol 1e-300`: the
+    # recursive residual falls far below what the true residual can reach, so
+    # the drift guard fires and CG resumes from the true residual, written
+    # into r in place (z is r in plain CG)
+    calls = []
+    laplacian = solver.apply_laplacian
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return laplacian(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "apply_laplacian", counted)
+    spec = GridSpec(1, 6)
+    b = np.ones(spec.size)
+    report = cg_solve(spec, b, config=SolveConfig(tol=1e-300 * norm2(b)))
+    assert not report.converged
+    assert report.iterations == 60
+    # one call per iteration plus one per drift check
+    assert len(calls) == 62
+    h = report.residual_history
+    jump = int(np.argmax(h[1:] / h[:-1])) + 1
+    assert h[jump - 1] < 1e-150
+    assert h[jump] == pytest.approx(1.15e-15, rel=0.01)
+    assert h[-1] == pytest.approx(1.15e-15, rel=0.01)
+
+
+def test_zr_underflow_stops_unconverged():
+    # mass PCG at a tolerance below the attainable accuracy: <z, r>
+    # underflows to 0.0 with a finite residual, which is the accuracy floor,
+    # not a breakdown
+    spec = GridSpec(1, 6)
+    b = np.ones(spec.size)
+    report = cg_solve(spec, b, config=SolveConfig(tol=1e-300 * norm2(b), precondition="mass"))
+    assert not report.converged
+    assert 0 < report.iterations < 60
+    assert len(report.residual_history) == report.iterations + 1
+    assert 0.0 < report.residual_history[-1] < 1e-150
