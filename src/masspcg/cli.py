@@ -27,6 +27,7 @@ from .experiments import (
     SolveMemoryError,
     TABLE1_SIZES,
     TABLE2_CASES,
+    check_solve_memory,
     condition_cells,
     figure_datasets,
     iteration_cells,
@@ -194,6 +195,10 @@ def _table2_cases(args):
 
 def _cmd_table2(args) -> int:
     cases = _table2_cases(args)
+    # refuse an oversized cell before any note or solve; a row's mass solve
+    # holds the most work vectors
+    for d, n in cases:
+        check_solve_memory(GridSpec(d, n), "mass")
     for d, n in cases:
         if n**d >= _BIG_SOLVE:
             _note(f"note: d={d} n={n} solves {n**d} unknowns; "

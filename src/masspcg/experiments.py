@@ -84,6 +84,18 @@ class SolveMemoryError(RuntimeError):
     """A solve's work vectors would not fit in physical memory."""
 
 
+def check_solve_memory(spec: GridSpec, precondition: str):
+    """Raise SolveMemoryError when the solve's work vectors exceed physical memory."""
+    # an unknown precondition kind counts 0 here; SolveConfig rejects it later
+    needed = WORK_VECTORS.get(precondition, 0) * 8 * spec.size
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if needed > physical:
+        raise SolveMemoryError(
+            f"d={spec.d} n={spec.n} solve needs {needed} bytes of work vectors, "
+            f"physical memory is {physical} bytes"
+        )
+
+
 def run_solve(
     spec: GridSpec,
     *,
@@ -99,14 +111,7 @@ def run_solve(
     Raises SolveMemoryError, before allocating anything, when the solve's
     work vectors would exceed physical memory.
     """
-    # an unknown precondition kind counts 0 here; SolveConfig rejects it below
-    needed = WORK_VECTORS.get(precondition, 0) * 8 * spec.size
-    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if needed > physical:
-        raise SolveMemoryError(
-            f"d={spec.d} n={spec.n} solve needs {needed} bytes of work vectors, "
-            f"physical memory is {physical} bytes"
-        )
+    check_solve_memory(spec, precondition)
     b = make_rhs(spec, rhs, seed)
     config = SolveConfig(
         tol=tol * norm2(b),

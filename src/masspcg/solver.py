@@ -92,10 +92,10 @@ def _inner_zr(r: np.ndarray, z: np.ndarray) -> float:
 def cg_solve(
     spec: GridSpec,
     b: np.ndarray,
-    x0: np.ndarray | None = None,
+    *,
     config: SolveConfig | None = None,
 ) -> SolveReport:
-    """Solve ``A_d x = b`` by (preconditioned) conjugate gradients.
+    """Solve ``A_d x = b`` by (preconditioned) conjugate gradients from ``x = 0``.
 
     Parameters
     ----------
@@ -103,8 +103,6 @@ def cg_solve(
         Grid defining the Laplacian.
     b : ndarray
         Right-hand side, length ``spec.size``.
-    x0 : ndarray, optional
-        Initial guess; zero vector when omitted.
     config : SolveConfig, optional
         Tolerance, iteration cap, preconditioning flag; defaults apply when
         omitted.
@@ -125,12 +123,8 @@ def cg_solve(
     """
     cfg = config if config is not None else SolveConfig()
     b = check_vector(spec, b, "b")
-    if x0 is None:
-        x = np.zeros(spec.size)
-        r = b.copy()
-    else:
-        x = check_vector(spec, x0, "x0").copy()
-        r = b - apply_laplacian(spec, x)
+    x = np.zeros(spec.size)
+    r = b.copy()
     max_iter = cfg.resolved_max_iter(spec)
     mass = cfg.precondition == "mass"
 

@@ -10,7 +10,8 @@ frequencies ``k_j in {1..n}``. With ``c_j = cos(pi*h*k_j)``:
 
 Spectrum extremes are found by an exact scan of the discrete spectrum (reduced
 well below full ``n**d`` enumeration, see below), never by trusting the
-continuous-maximizer approximation. A per-dimension closed-form condition
+continuous-maximizer approximation. The scan covers ``n**max(d-1, 1)``
+frequency tuples, capped at ``SCAN_CAP``. A per-dimension closed-form condition
 number for the preconditioned operator exists (evaluate the symmetric tuple at
 the integer part of the continuous maximizer position); it is reported, checked
 against the scan, and any disagreement is surfaced in
@@ -22,7 +23,9 @@ mixes ``k`` and ``n+1-k``, which the symmetric closed form cannot reach.
 Scan correctness rests on per-coordinate structure: with all other coordinates
 fixed, each eigenvalue is either monotone (Laplacian, mass) or a concave
 parabola (preconditioned) in the remaining cosine, so minima live on corner
-tuples and maxima next to the per-coordinate parabola vertex.
+tuples and maxima next to the per-coordinate parabola vertex: one broadcast
+loop over the other ``d-1`` coordinates, the same for d = 1, 2 and 3, finds the
+maximum.
 """
 
 from __future__ import annotations
@@ -50,17 +53,19 @@ ASYMPTOTIC_RATIO_LIMIT = {
     3: float(Fraction(512, 81)),
 }
 
-# Chunk size (in index tuples) for the 3D vertex scan; fixed for determinism.
+#: Cap on the extreme-eigenvalue scan size, ``n**max(d-1, 1)`` frequency tuples.
+SCAN_CAP = 2**24
+
+# Block size (in frequency tuples) of the vertex scan; fixed for determinism.
 _SCAN_CHUNK = 1 << 22
 
 
 class SpectrumCapError(RuntimeError):
-    """Full-spectrum enumeration would exceed the configured size cap."""
+    """Full-spectrum enumeration or the extreme-eigenvalue scan would exceed its size cap."""
 
-    def __init__(self, required: int, allowed: int):
-        super().__init__(
-            f"spectrum enumeration needs {required} eigenvalues, cap is {allowed}"
-        )
+    def __init__(self, required: int, allowed: int,
+                 task: str = "spectrum enumeration", unit: str = "eigenvalues"):
+        super().__init__(f"{task} needs {required} {unit}, cap is {allowed}")
         self.required = required
         self.allowed = allowed
 
@@ -179,52 +184,35 @@ def _preconditioned_max(spec: GridSpec) -> tuple[int, ...]:
 
     For fixed other coordinates the eigenvalue is ``const * (2+x)(K-x)`` in the
     remaining cosine ``x``, a concave parabola, so the per-coordinate discrete
-    argmax is one of the two cosines bracketing the vertex ``(K-2)/2``. Scanning
-    all ``n**(d-1)`` assignments of the other coordinates with that reduction is
-    an exact ``O(n**(d-1) log n)`` search.
+    argmax is one of the two cosines bracketing the vertex ``(K-2)/2``. One
+    broadcast loop applies that reduction to all ``n**(d-1)`` assignments of
+    the other coordinates (a single one in 1D), an exact
+    ``O(n**(d-1) log n)`` search in blocks of about ``_SCAN_CHUNK`` tuples;
+    :func:`spectrum_report` caps ``n**max(d-1, 1)`` at ``SCAN_CAP``. Ties keep
+    the first maximum found.
     """
     n, d = spec.n, spec.d
-    k_all = np.arange(1, n + 1)
-    c = axis_cosines(spec)
-    if d == 1:
-        lam = _eigenvalues(OperatorKind.PRECONDITIONED, spec, (c,))
-        return (int(k_all[np.argmax(lam)]),)
-
-    order = np.argsort(c)  # ascending cosines
-    cs = c[order]
-    ks = k_all[order]
-
-    def other_blocks():
-        if d == 2:
-            yield (cs,), (ks,)
-        else:
-            rows = max(1, _SCAN_CHUNK // n)
-            for start in range(0, n, rows):
-                stop = min(n, start + rows)
-                a = np.repeat(cs[start:stop], n)
-                ak = np.repeat(ks[start:stop], n)
-                b = np.tile(cs, stop - start)
-                bk = np.tile(ks, stop - start)
-                yield (a, b), (ak, bk)
-
-    best_val = -np.inf
-    best_tuple: tuple[int, ...] = ()
-    for ocos, oks in other_blocks():
-        s_other = sum(ocos)
-        p_other = np.ones_like(ocos[0])
-        for oc in ocos:
-            p_other = p_other * (2.0 + oc)
-        vertex = (d - s_other - 2.0) / 2.0
-        pos = np.searchsorted(cs, vertex)
+    cs = axis_cosines(spec)[::-1]  # ascending: position i holds k = n - i
+    others = list(np.meshgrid(*([cs] * (d - 1)), indexing="ij", sparse=True))
+    stride = n ** max(d - 2, 0)  # tuples per position of the first other coordinate
+    rows = max(1, _SCAN_CHUNK // stride)
+    best_val, best = -np.inf, ()
+    for start in range(0, n if others else 1, rows):
+        s_other, p_other = 0.0, 1.0
+        # only the first other coordinate is cut into blocks
+        for o in [o[start : start + rows] for o in others[:1]] + others[1:]:
+            s_other = s_other + o
+            p_other = p_other * (2.0 + o)
+        pos = np.searchsorted(cs, (d - s_other - 2.0) / 2.0)
         for off in (0, -1):
             j = np.clip(pos + off, 0, n - 1)
             x = cs[j]
-            lam = (2.0 + x) * p_other * (d - s_other - x)
+            lam = np.ravel((2.0 + x) * p_other * (d - s_other - x))
             i = int(np.argmax(lam))
             if lam[i] > best_val:
-                best_val = float(lam[i])
-                best_tuple = (int(ks[j[i]]), *(int(ok[i]) for ok in oks))
-    return tuple(sorted(best_tuple))
+                best_val = lam[i]
+                best = (np.ravel(j)[i], *np.unravel_index(start * stride + i, (n,) * (d - 1)))
+    return tuple(sorted(n - int(i) for i in best))
 
 
 def closed_form_preconditioned_kappa(spec: GridSpec) -> tuple[int, float]:
@@ -258,8 +246,14 @@ def spectrum_report(kind: OperatorKind, spec: GridSpec) -> SpectrumReport:
     its maximum is located by the per-coordinate parabola-vertex scan. For the
     preconditioned operator the report also carries the closed-form condition
     number and whether it agrees with the scan (see :class:`ClosedFormCheck`).
+
+    Raises SpectrumCapError, before allocating anything, when the scan's
+    ``n**max(d-1, 1)`` frequency tuples exceed ``SCAN_CAP``.
     """
     n, d = spec.n, spec.d
+    if n ** max(d - 1, 1) > SCAN_CAP:
+        raise SpectrumCapError(n ** max(d - 1, 1), SCAN_CAP,
+                               "extreme-eigenvalue scan", "frequency tuples")
     if kind is OperatorKind.LAPLACIAN:
         argmin, argmax = (1,) * d, (n,) * d
     elif kind is OperatorKind.MASS:

@@ -126,6 +126,26 @@ def test_solve_backed_commands_memory_check(argv, tmp_path, capsys, monkeypatch)
     assert "physical memory" in err
 
 
+def test_table2_checks_every_cell_before_solving(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "table2", "--dim", "3", "--n", "32", "--n", "5000")
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    assert "d=3 n=5000" in err and "physical memory" in err
+    assert "solving" not in err and "note" not in err
+
+
+def test_condition_scan_cap_exit_code(capsys):
+    # 10**12 frequency tuples: refused before the scan starts
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "condition", "--dim", "3", "--n", "1000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    assert "scan" in err and "cap" in err
+
+
 def test_solve_random_rhs_depends_on_seed(capsys):
     args = ("solve", "--dim", "1", "--n", "12", "--rhs", "random")
     _, base, _ = run_cli(capsys, *args)

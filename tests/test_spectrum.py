@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import masspcg.spectrum as spectrum
 from masspcg import (
     ASYMPTOTIC_RATIO_LIMIT,
     GridSpec,
@@ -173,3 +175,33 @@ def test_table_values_spot_check():
     report = ratio_report(GridSpec(3, 32))
     assert report.kappa == pytest.approx(440.6886, abs=5e-5)
     assert report.kappa_p == pytest.approx(70.1771, abs=5e-5)
+
+
+# sha256 of the lines "n (k1, ..., kd)\n", n = 1..limit, of the preconditioned
+# argmax tuples; recorded before the scan became one broadcast loop
+PINNED_ARGMAX = {
+    1: (2000, "208ae921c28e42e9e633eb21192dbf24dd7d758f0dea6366f184405dce23636c"),
+    2: (600, "11d096d707e5e49216ef07eb251b974f453ea34bca6e18404f84303ce1d10a51"),
+    3: (128, "1295d5354e265718ecbdb4335e6a3249264a373eb4cd140247cecf9410c2c876"),
+}
+
+
+@pytest.mark.parametrize("d", sorted(PINNED_ARGMAX))
+def test_preconditioned_argmax_pinned(d):
+    limit, digest = PINNED_ARGMAX[d]
+    text = "".join(
+        f"{n} {spectrum_report(OperatorKind.PRECONDITIONED, GridSpec(d, n)).argmax}\n"
+        for n in range(1, limit + 1)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", [5, 17, 64])
+def test_multi_block_scan_matches_single_block(n, monkeypatch):
+    spec = GridSpec(3, n)
+    whole = spectrum_report(OperatorKind.PRECONDITIONED, spec)
+    for chunk in (1, 7, 64):
+        monkeypatch.setattr(spectrum, "_SCAN_CHUNK", chunk)
+        blocked = spectrum_report(OperatorKind.PRECONDITIONED, spec)
+        assert blocked.argmax == whole.argmax
+        assert blocked.kappa == whole.kappa
