@@ -1,0 +1,102 @@
+"""Build and load the compiled stencils of ``_stencils.c``.
+
+``operators`` imports this module on the first stencil call, never at
+import, so a fresh ``import masspcg`` does not even parse it. The library is
+built once per source, compiler, flags and platform, and cached as
+``__pycache__/_stencils-<sha256>.so`` beside the source.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shlex
+import shutil
+import subprocess
+import sysconfig
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from numpy.ctypeslib import ndpointer
+
+# FMA contraction and -ffast-math reassociation would change bits;
+# -march=native stays off too, as it brings in FMA units and ties the cached
+# library to one CPU.
+CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+
+SOURCE = Path(__file__).with_name("_stencils.c")
+
+
+def compiler() -> list[str] | None:
+    """Command of the C compiler: sysconfig's ``CC`` when on PATH, else ``cc``."""
+    for command in (shlex.split(sysconfig.get_config_var("CC") or ""), ["cc"]):
+        if command and shutil.which(command[0]):
+            return command
+    return None
+
+
+def build(command: list[str], target: Path) -> Path:
+    """Compile the source to a temporary name beside ``target``, then rename it.
+
+    The rename is atomic, so processes that build at once each leave a whole
+    library. Compiler output is discarded.
+    """
+    fd, tmp = tempfile.mkstemp(prefix=target.name + ".", dir=target.parent)
+    os.close(fd)
+    try:
+        subprocess.run([*command, *CFLAGS, "-o", tmp, str(SOURCE)], check=True, timeout=300,
+                       stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return target
+
+
+def open_library(path: Path) -> ctypes.CDLL:
+    """Load the library at ``path`` and declare its two functions."""
+    lib = ctypes.CDLL(str(path))
+    vec = ndpointer(np.float64, flags="C_CONTIGUOUS")
+    lib.masspcg_laplacian.argtypes = [ctypes.c_int64, ctypes.c_int64, vec, vec,
+                                      ctypes.c_double, ctypes.c_double]
+    lib.masspcg_mass.argtypes = [ctypes.c_int64, ctypes.c_int64, vec, vec,
+                                 ctypes.c_double, ctypes.c_double, vec]
+    lib.masspcg_laplacian.restype = lib.masspcg_mass.restype = None
+    return lib
+
+
+def load_library() -> ctypes.CDLL:
+    """The cached library, built first when missing.
+
+    When the cache directory cannot be written, the library is built into a
+    temporary directory of this process instead. Raises OSError or a
+    subprocess error on failure.
+    """
+    command = compiler()
+    if command is None:
+        raise FileNotFoundError("no C compiler found")
+    key = hashlib.sha256(SOURCE.read_bytes())
+    key.update(repr((command, CFLAGS, sysconfig.get_platform())).encode())
+    target = SOURCE.parent / "__pycache__" / f"_stencils-{key.hexdigest()}.so"
+    if not target.exists():
+        try:
+            target.parent.mkdir(exist_ok=True)
+            build(command, target)
+        except OSError:
+            with tempfile.TemporaryDirectory(prefix="masspcg-", ignore_cleanup_errors=True) as private:
+                return open_library(build(command, Path(private) / target.name))
+    return open_library(target)
+
+
+def load() -> ctypes.CDLL | bool:
+    """The library, or False when it cannot be built or loaded.
+
+    No compiler, a failed build, or a library that will not load or lacks a
+    symbol all give False, silently: the numpy sweeps serve instead.
+    """
+    try:
+        return load_library()
+    except (OSError, subprocess.SubprocessError, AttributeError):
+        return False

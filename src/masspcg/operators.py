@@ -13,6 +13,13 @@ Scaling conventions on the unit domain with ``h = 1/(n+1)``:
   times a dimensional scale of ``h`` in 1D, ``1`` in 2D and ``1/h`` in 3D
   (i.e. ``h**(2-d)`` overall).
 * Preconditioned: mass applied after the Laplacian.
+
+The first call to either stencil compiles ``_stencils.c`` with the system C
+compiler and loads it through ctypes; later calls and processes reuse the
+cached library. The compiled kernels make one pass per grid line and give
+the same bits as the slab-tiled numpy sweeps below, which stay as the
+reference and as the fallback when no compiler is found or the build or load
+fails. Nothing is compiled or loaded at import.
 """
 
 from __future__ import annotations
@@ -36,6 +43,23 @@ class OperatorKind(enum.Enum):
 #: axis-0 planes (one plane when a single plane is larger), so the several
 #: passes each slab takes stay in cache instead of streaming the whole vector.
 SLAB = 1 << 16
+
+
+# The compiled stencils: None until the first stencil call, then the loaded
+# library, or False when it could not be built or loaded.
+_kernels = None
+
+
+def _compiled():
+    """The compiled stencils, built or loaded on first use; False when unavailable."""
+    global _kernels
+    if _kernels is None:
+        # imported here so that importing masspcg neither builds nor loads
+        # anything, nor even parses the build code
+        from . import _native
+
+        _kernels = _native.load()
+    return _kernels
 
 
 def _axis_slices(ndim: int, axis: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
@@ -96,6 +120,10 @@ def apply_laplacian(spec: GridSpec, u: np.ndarray, out: np.ndarray | None = None
     """
     u = check_vector(spec, u)
     out = _output(spec, u, out)
+    lib = _compiled()
+    if lib:
+        lib.masspcg_laplacian(spec.d, int(spec.n), np.ascontiguousarray(u), out, 2.0 * spec.d, spec.h**2)
+        return out
     v = u.reshape(spec.shape)
     w = out.reshape(spec.shape)
     for a, b in _slabs(spec)[0]:
@@ -116,13 +144,22 @@ def apply_mass(spec: GridSpec, u: np.ndarray, out: np.ndarray | None = None) -> 
 
     Implemented as d successive 1D tridiagonal sweeps with weights
     ``(h/6)*(1, 4, 1)``, one along each axis, times the dimensional scale
-    ``h**(2-d)``. Per slab, the sweeps alternate between ``out`` and one
-    slab-sized scratch buffer so that the last one lands in ``out``. ``out``
-    is as in :func:`apply_laplacian`.
+    ``h**(2-d)``. The compiled kernel sweeps each axis-0 plane into a plane
+    buffer and each line across it into a line buffer; the numpy sweeps
+    alternate, per slab, between ``out`` and one slab-sized scratch buffer
+    so that the last one lands in ``out``. ``out`` is as in
+    :func:`apply_laplacian`.
     """
     u = check_vector(spec, u)
     out = _output(spec, u, out)
     h = spec.h
+    lib = _compiled()
+    if lib:
+        # a plane buffer in 3D and a line buffer in 2D and 3D
+        n = int(spec.n)
+        scratch = np.empty({1: 1, 2: n, 3: n * n + n}[spec.d])
+        lib.masspcg_mass(spec.d, n, np.ascontiguousarray(u), out, h / 6.0, h ** (2 - spec.d), scratch)
+        return out
     v = u.reshape(spec.shape)
     w = out.reshape(spec.shape)
     slabs, largest = _slabs(spec)

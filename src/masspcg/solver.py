@@ -68,12 +68,15 @@ class SolveReport:
 
     residual_history holds ``||r_j||`` for j = 0..iterations (None when not
     recorded); converged means the last residual tested was below tol.
+    replacements counts the times the drift guard found the recomputed
+    residual still at or above tol, wrote it into r and resumed.
     """
 
     iterations: int
     converged: bool
     residual_history: np.ndarray | None
     solution: np.ndarray
+    replacements: int
 
 
 def _check_scalar(value: float, what: str) -> float:
@@ -130,7 +133,7 @@ def cg_solve(
 
     res = _check_scalar(norm2(r), "residual norm")
     history = [res]
-    iterations = 0
+    iterations = replacements = 0
     converged = res < cfg.tol
 
     rz = 0.0
@@ -170,6 +173,7 @@ def cg_solve(
                 converged = True
                 break
             history[-1] = res
+            replacements += 1
         if mass:
             apply_mass(spec, r, out=z)
         rz_new = _inner_zr(r, z)
@@ -186,4 +190,5 @@ def cg_solve(
         converged=converged,
         residual_history=np.asarray(history) if cfg.record_history else None,
         solution=x,
+        replacements=replacements,
     )

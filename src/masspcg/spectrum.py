@@ -162,8 +162,9 @@ def eigenvalue(kind: OperatorKind, spec: GridSpec, k) -> float:
 
     Each ``k_j`` must lie in ``{1..n}``; raises ValueError otherwise.
     """
-    c = axis_cosines(spec)
-    return float(_eigenvalues(kind, spec, [c[kj - 1] for kj in _check_indices(spec, k)]))
+    # the same cosines as axis_cosines gives, computed for these indices only
+    c = np.cos(pi * spec.h * np.array(_check_indices(spec, k)))
+    return float(_eigenvalues(kind, spec, list(c)))
 
 
 def full_spectrum(

@@ -10,6 +10,8 @@ import hashlib
 
 import pytest
 
+import masspcg._native as native
+import masspcg.operators as operators
 from masspcg.cli import main
 
 GOLDEN = [
@@ -53,5 +55,27 @@ def test_cli_output_is_pinned(argv, code, stdout_sha256, stderr, capsys, monkeyp
     monkeypatch.setenv("COLUMNS", "80")
     assert main(list(argv)) == code
     captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == stdout_sha256
+    assert captured.err == stderr
+
+
+SOLVES = [case for case in GOLDEN if case[0][0] in ("solve", "table2")]
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout_sha256, stderr", SOLVES, ids=[" ".join(case[0]) for case in SOLVES]
+)
+def test_cli_output_is_pinned_when_the_stencil_build_fails(argv, code, stdout_sha256, stderr,
+                                                          capfd, monkeypatch, tmp_path):
+    # a stencil source that does not compile: the numpy sweeps give the same
+    # bytes, and no compiler message reaches stdout or stderr
+    source = tmp_path / "_stencils.c"
+    source.write_text("#error deliberately broken\n")
+    monkeypatch.setattr(native, "SOURCE", source)
+    monkeypatch.setattr(operators, "_kernels", None)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(list(argv)) == code
+    assert operators._kernels is False
+    captured = capfd.readouterr()
     assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == stdout_sha256
     assert captured.err == stderr

@@ -1,6 +1,10 @@
+import subprocess
+
 import numpy as np
 import pytest
 
+import masspcg._native as native
+import masspcg.operators as operators
 from masspcg import (
     DimensionMismatchError,
     GridSpec,
@@ -213,3 +217,139 @@ def test_bad_out_rejected(apply):
         apply(spec, u, out=np.zeros(spec.size, dtype=np.float32))
     with pytest.raises(ValueError, match="contiguous"):
         apply(spec, u, out=np.zeros(2 * spec.size)[::2])
+
+
+# The compiled stencils and the numpy sweeps they fall back to must both give
+# the reference bits. Lines longer than the kernel's 256-value line buffer
+# (n > 256) are split into chunks, so the grids cross chunk edges too.
+BITWISE_SPECS = (
+    [GridSpec(1, n) for n in (1, 2, 3, 7, 255, 256, 257, 1000, 65537)]
+    + [GridSpec(2, n) for n in (1, 2, 3, 5, 257, 513)]
+    + [GridSpec(3, n) for n in (1, 2, 3, 5, 17, 97, 128, 130, 300)]
+)
+
+
+def stencil_kernels():
+    """Values of ``operators._kernels`` to test: the compiled library when a
+    compiler is found, then False, which selects the numpy sweeps."""
+    if native.compiler() is None:
+        return [False]
+    lib = operators._compiled()
+    assert lib, "a C compiler is on PATH but the stencils did not build"
+    return [lib, False]
+
+
+def same_bits(a, b):
+    # np.array_equal would let -0.0 equal 0.0
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+def signed_zero_vector(spec, rng):
+    # random values with runs of -0.0 and 0.0, whose signs the stencils keep
+    u = rng.standard_normal(spec.size)
+    u[rng.random(spec.size) < 0.2] = -0.0
+    u[rng.random(spec.size) < 0.1] = 0.0
+    return u
+
+
+@pytest.mark.parametrize("spec", BITWISE_SPECS, ids=str)
+def test_stencils_match_reference_bitwise(spec, monkeypatch):
+    rng = np.random.default_rng(spec.n + spec.d)
+    u = signed_zero_vector(spec, rng)
+    if spec.size <= 1 << 20:
+        # a strided view; larger grids stay contiguous to bound test memory
+        u = np.repeat(u, 2)[::2]
+    negative = np.full(spec.size, -0.0) if spec.size <= 1 << 16 else None
+    out = np.full(spec.size, np.nan)  # dirty, and reused by every call below
+    paths = stencil_kernels()
+    for apply, reference in [(apply_laplacian, reference_laplacian), (apply_mass, reference_mass)]:
+        expected = reference(spec, u)
+        for kernels in paths:
+            monkeypatch.setattr(operators, "_kernels", kernels)
+            assert apply(spec, u, out=out) is out
+            assert same_bits(out, expected), kernels
+            if negative is not None:
+                assert same_bits(apply(spec, negative), reference(spec, negative)), kernels
+        expected = None  # one reference result alive at a time
+
+
+@pytest.mark.parametrize("offset", [0, 16, 64])
+@pytest.mark.parametrize("spec", [GridSpec(1, 5000), GridSpec(2, 300), GridSpec(3, 17)], ids=str)
+def test_out_just_past_u_in_one_block(spec, offset, monkeypatch):
+    # out starts 2^k + offset bytes after u in one allocation, the layout of
+    # adjacent work vectors, where stores trail loads modulo 4096
+    gap = 1 << (8 * spec.size - 1).bit_length()
+    block = np.zeros((gap + offset) // 8 + spec.size)
+    u = block[: spec.size]
+    out = block[(gap + offset) // 8 :]
+    u[:] = signed_zero_vector(spec, np.random.default_rng(offset))
+    for kernels in stencil_kernels():
+        monkeypatch.setattr(operators, "_kernels", kernels)
+        assert same_bits(apply_laplacian(spec, u, out=out), reference_laplacian(spec, u)), kernels
+        assert same_bits(apply_mass(spec, u, out=out), reference_mass(spec, u)), kernels
+
+
+def test_failed_load_falls_back_to_numpy_bits(monkeypatch):
+    def fail():
+        raise OSError("cannot load")
+
+    monkeypatch.setattr(operators, "_kernels", None)
+    monkeypatch.setattr(native, "load_library", fail)
+    for spec in [GridSpec(1, 300), GridSpec(2, 37), GridSpec(3, 21)]:
+        u = signed_zero_vector(spec, np.random.default_rng(spec.size))
+        assert same_bits(apply_laplacian(spec, u), reference_laplacian(spec, u))
+        assert same_bits(apply_mass(spec, u), reference_mass(spec, u))
+    assert operators._kernels is False
+
+
+def copied_source(directory, extra=""):
+    source = directory / "_stencils.c"
+    source.write_text(native.SOURCE.read_text() + extra)
+    return source
+
+
+def test_second_load_reuses_cached_library(tmp_path, monkeypatch):
+    if native.compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    monkeypatch.setattr(native, "SOURCE", copied_source(tmp_path))
+    lib = native.load_library()
+    built = list((tmp_path / "__pycache__").iterdir())
+    assert len(built) == 1 and built[0].name.startswith("_stencils-")
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("the cached library should have been reused")
+
+    monkeypatch.setattr(subprocess, "run", no_compiler)
+    again = native.load_library()
+    assert list((tmp_path / "__pycache__").iterdir()) == built
+    spec = GridSpec(2, 9)
+    u = np.random.default_rng(9).standard_normal(spec.size)
+    for kernels in (lib, again):
+        monkeypatch.setattr(operators, "_kernels", kernels)
+        assert same_bits(apply_laplacian(spec, u), reference_laplacian(spec, u))
+
+
+def test_unwritable_cache_builds_privately(tmp_path, monkeypatch):
+    if native.compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    monkeypatch.setattr(native, "SOURCE", copied_source(tmp_path))
+    # a file where the cache directory should be: it can be neither made nor written
+    (tmp_path / "__pycache__").write_text("")
+    monkeypatch.setattr(operators, "_kernels", native.load_library())
+    spec = GridSpec(3, 6)
+    u = np.random.default_rng(6).standard_normal(spec.size)
+    assert same_bits(apply_mass(spec, u), reference_mass(spec, u))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["__pycache__", "_stencils.c"]
+
+
+def test_failed_build_prints_nothing(tmp_path, monkeypatch, capfd):
+    # the compiler's error messages go nowhere, and the numpy sweeps serve
+    monkeypatch.setattr(native, "SOURCE", copied_source(tmp_path, "\n#error deliberately broken\n"))
+    monkeypatch.setattr(operators, "_kernels", None)
+    spec = GridSpec(2, 7)
+    u = np.random.default_rng(7).standard_normal(spec.size)
+    assert same_bits(apply_laplacian(spec, u), reference_laplacian(spec, u))
+    assert operators._kernels is False
+    assert capfd.readouterr() == ("", "")
+    # no library and no half-written temporary file is left behind
+    assert not list(tmp_path.glob("__pycache__/*"))

@@ -27,6 +27,7 @@ def test_cg_reaches_tolerance(spec, precondition):
     config = SolveConfig(tol=1e-9, precondition=precondition)
     report = cg_solve(spec, b, config=config)
     assert report.converged
+    assert report.replacements == 0
     assert residual_norm(spec, report.solution, b) <= 1e-9
 
 
@@ -190,8 +191,10 @@ def test_drift_guard_replaces_residual_at_accuracy_floor(monkeypatch):
     report = cg_solve(spec, b, config=SolveConfig(tol=1e-300 * norm2(b)))
     assert not report.converged
     assert report.iterations == 60
-    # one call per iteration plus one per drift check
+    # one call per iteration plus one per drift check, and both checks
+    # replaced the residual
     assert len(calls) == 62
+    assert report.replacements == 2
     h = report.residual_history
     jump = int(np.argmax(h[1:] / h[:-1])) + 1
     assert h[jump - 1] < 1e-150

@@ -70,6 +70,20 @@ def test_full_spectrum_sorted_and_complete(kind, spec):
     np.testing.assert_array_equal(values, expected)
 
 
+@pytest.mark.parametrize("n", [7, 1000, 2999, 65536, 10**6])
+def test_eigenvalue_cosines_equal_axis_cosines(n):
+    # eigenvalue computes only the cosines it needs; they must equal the
+    # entries of the whole axis_cosines array bit for bit
+    rng = np.random.default_rng(n)
+    for d in (1, 2, 3):
+        spec = GridSpec(d, n)
+        c = spectrum.axis_cosines(spec)
+        for k in [(1,) * d, (n,) * d] + [tuple(int(x) for x in rng.integers(1, n + 1, d)) for _ in range(50)]:
+            for kind in ALL_KINDS:
+                expected = spectrum._eigenvalues(kind, spec, [c[kj - 1] for kj in k])
+                assert eigenvalue(kind, spec, k) == expected
+
+
 def test_full_spectrum_cap():
     with pytest.raises(SpectrumCapError) as info:
         full_spectrum(OperatorKind.LAPLACIAN, GridSpec(1, 100), cap=50)

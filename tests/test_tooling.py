@@ -1,5 +1,7 @@
-"""The benchmark's own self-test runs against the current package."""
+"""The benchmark's own self-test runs against the current package, and the
+package carries what it needs at run time."""
 
+import importlib.resources
 import subprocess
 import sys
 from pathlib import Path
@@ -13,3 +15,9 @@ def test_benchmark_self_test_passes():
     result = subprocess.run([sys.executable, "benchmarks/run.py", "--self-test"], cwd=ROOT,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_stencil_source_ships_with_the_package():
+    # the kernel is compiled from this file on first use, so an installed
+    # package must carry it (pyproject.toml lists it as package data)
+    assert (importlib.resources.files("masspcg") / "_stencils.c").is_file()
