@@ -1,6 +1,7 @@
-"""Build and load the compiled stencils of ``_stencils.c``.
+"""Build and load the compiled kernels of ``_stencils.c``: the Laplacian and
+mass stencils and the two CG vector updates.
 
-``operators`` imports this module on the first stencil call, never at
+``operators`` imports this module on the first kernel call, never at
 import, so a fresh ``import masspcg`` does not even parse it. The library is
 built once per source, compiler, flags and platform, and cached as
 ``__pycache__/_stencils-<sha256>.so`` beside the source.
@@ -17,9 +18,6 @@ import subprocess
 import sysconfig
 import tempfile
 from pathlib import Path
-
-import numpy as np
-from numpy.ctypeslib import ndpointer
 
 # FMA contraction and -ffast-math reassociation would change bits;
 # -march=native stays off too, as it brings in FMA units and ties the cached
@@ -55,15 +53,27 @@ def build(command: list[str], target: Path) -> Path:
     return target
 
 
+#: Argument types of every exported kernel; open_library declares each one.
+#: Vectors pass as bare data pointers, which ``operators`` checks for dtype,
+#: layout and length first: ndpointer's checks and conversion took about
+#: 5 us per vector per call on a 2-vCPU Xeon VM, more than a whole update of
+#: 1,024 values.
+_F64, _I64, _PTR = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
+SIGNATURES = {
+    "masspcg_laplacian": [_I64, _I64, _PTR, _PTR, _F64, _F64],
+    "masspcg_mass": [_I64, _I64, _PTR, _PTR, _F64, _F64, _PTR],
+    "masspcg_cg_update": [_I64, _PTR, _PTR, _PTR, _PTR, _F64],
+    "masspcg_p_update": [_I64, _PTR, _PTR, _F64],
+}
+
+
 def open_library(path: Path) -> ctypes.CDLL:
-    """Load the library at ``path`` and declare its two functions."""
+    """Load the library at ``path`` and declare its functions from ``SIGNATURES``."""
     lib = ctypes.CDLL(str(path))
-    vec = ndpointer(np.float64, flags="C_CONTIGUOUS")
-    lib.masspcg_laplacian.argtypes = [ctypes.c_int64, ctypes.c_int64, vec, vec,
-                                      ctypes.c_double, ctypes.c_double]
-    lib.masspcg_mass.argtypes = [ctypes.c_int64, ctypes.c_int64, vec, vec,
-                                 ctypes.c_double, ctypes.c_double, vec]
-    lib.masspcg_laplacian.restype = lib.masspcg_mass.restype = None
+    for name, argtypes in SIGNATURES.items():
+        function = getattr(lib, name)
+        function.argtypes = argtypes
+        function.restype = None
     return lib
 
 

@@ -1,12 +1,13 @@
 /*
- * Single-pass Laplacian and mass stencils for masspcg.operators.
+ * Single-pass Laplacian and mass stencils and the CG vector updates for
+ * masspcg.operators.
  *
- * operators.py compiles this file the first time a stencil runs and calls it
- * through ctypes; its slab-tiled numpy sweeps stay as the reference and the
- * fallback. Every element gets the same floating-point operations in the same
- * order as those sweeps, so the results are bit-identical: a missing
- * Dirichlet neighbour is skipped, or a zero subtracted, which is exact and
- * keeps -0.0. That holds only without FMA contraction or reassociation, so
+ * operators.py compiles this file the first time a kernel runs and calls it
+ * through ctypes; its slab-tiled numpy sweeps and updates stay as the
+ * reference and the fallback. Every element gets the same floating-point
+ * operations in the same order as those, so the results are bit-identical: a
+ * missing Dirichlet neighbour is skipped, or a zero subtracted, which is exact
+ * and keeps -0.0. That holds only without FMA contraction or reassociation, so
  * build with -ffp-contract=off and never with -ffast-math.
  *
  * The grid is viewed as m0 planes of m1 lines of n contiguous values:
@@ -14,10 +15,11 @@
  * plane, line and element in that order.
  *
  * Results go through a LINE-element stack buffer and are copied out with
- * memcpy. Storing straight into out, the stores trail the loads from u by a
- * few bytes modulo 4096 when out sits just past u in memory (as adjacent
- * 16 MiB work vectors do); the loads then wait on false store forwarding
- * (4K aliasing) and the naive kernel runs slower than numpy.
+ * memcpy. Storing straight into the output, the stores trail the loads from
+ * another vector by a few bytes modulo 4096 when the two sit that far apart
+ * (adjacent 16 MiB work vectors do, and in plain CG z is r); the loads then
+ * wait on false store forwarding (4K aliasing) and the naive kernel runs
+ * slower than numpy.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -175,5 +177,34 @@ void masspcg_mass(int64_t d, int64_t n, const double *restrict u, double *restri
             }
             mass_line(out + i0 * plane + i1 * n, x, n, c, s);
         }
+    }
+}
+
+/* The CG step x = x + p*alpha, r = r - Ap*alpha over N values, each product
+ * rounded before the sum as numpy rounds x += p*alpha. */
+void masspcg_cg_update(int64_t N, double *x, double *r, const double *p, const double *Ap,
+                       double alpha)
+{
+    double buf[LINE];
+    for (ptrdiff_t a = 0; a < N; a += LINE) {
+        ptrdiff_t len = N - a < LINE ? N - a : LINE;
+        for (ptrdiff_t k = 0; k < len; k++)
+            buf[k] = x[a + k] + p[a + k] * alpha;
+        memcpy(x + a, buf, (size_t)len * sizeof(double));
+        for (ptrdiff_t k = 0; k < len; k++)
+            buf[k] = r[a + k] - Ap[a + k] * alpha;
+        memcpy(r + a, buf, (size_t)len * sizeof(double));
+    }
+}
+
+/* The new search direction p = p*beta + z over N values. */
+void masspcg_p_update(int64_t N, double *p, const double *z, double beta)
+{
+    double buf[LINE];
+    for (ptrdiff_t a = 0; a < N; a += LINE) {
+        ptrdiff_t len = N - a < LINE ? N - a : LINE;
+        for (ptrdiff_t k = 0; k < len; k++)
+            buf[k] = p[a + k] * beta + z[a + k];
+        memcpy(p + a, buf, (size_t)len * sizeof(double));
     }
 }

@@ -14,12 +14,13 @@ Scaling conventions on the unit domain with ``h = 1/(n+1)``:
   (i.e. ``h**(2-d)`` overall).
 * Preconditioned: mass applied after the Laplacian.
 
-The first call to either stencil compiles ``_stencils.c`` with the system C
-compiler and loads it through ctypes; later calls and processes reuse the
-cached library. The compiled kernels make one pass per grid line and give
-the same bits as the slab-tiled numpy sweeps below, which stay as the
-reference and as the fallback when no compiler is found or the build or load
-fails. Nothing is compiled or loaded at import.
+The first call to a stencil or to a CG update (:func:`cg_update`,
+:func:`p_update`) compiles ``_stencils.c`` with the system C compiler and
+loads it through ctypes; later calls and processes reuse the cached library.
+The compiled kernels make one pass per grid line or vector and give the same
+bits as the slab-tiled numpy code of ``_sweeps``, which stays as the reference
+and as the fallback when no compiler is found or the build or load fails.
+Nothing is compiled, loaded or parsed for either at import.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import enum
 
 import numpy as np
 
-from .grid import GridSpec, check_vector
+from .grid import DimensionMismatchError, GridSpec, check_vector
 
 
 class OperatorKind(enum.Enum):
@@ -39,19 +40,13 @@ class OperatorKind(enum.Enum):
     PRECONDITIONED = "preconditioned"
 
 
-#: Most unknowns in one slab. The operators sweep the grid in slabs of whole
-#: axis-0 planes (one plane when a single plane is larger), so the several
-#: passes each slab takes stay in cache instead of streaming the whole vector.
-SLAB = 1 << 16
-
-
-# The compiled stencils: None until the first stencil call, then the loaded
+# The compiled kernels: None until the first kernel call, then the loaded
 # library, or False when it could not be built or loaded.
 _kernels = None
 
 
 def _compiled():
-    """The compiled stencils, built or loaded on first use; False when unavailable."""
+    """The compiled kernels, built or loaded on first use; False when unavailable."""
     global _kernels
     if _kernels is None:
         # imported here so that importing masspcg neither builds nor loads
@@ -62,38 +57,20 @@ def _compiled():
     return _kernels
 
 
-def _axis_slices(ndim: int, axis: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
-    """Slice pairs (lo, hi) selecting all-but-last / all-but-first along ``axis``."""
-    lo = [slice(None)] * ndim
-    hi = [slice(None)] * ndim
-    lo[axis] = slice(0, -1)
-    hi[axis] = slice(1, None)
-    return tuple(lo), tuple(hi)
+def _numpy():
+    """The numpy fallback, imported only when a kernel call needs it."""
+    from . import _sweeps
 
-
-def _slabs(spec: GridSpec) -> tuple[list[tuple[int, int]], int]:
-    """Axis-0 plane ranges [a, b) covering the grid, and the largest slab's size."""
-    plane = spec.size // spec.n
-    rows = max(1, SLAB // plane)
-    return [(a, min(a + rows, spec.n)) for a in range(0, spec.n, rows)], rows * plane
-
-
-def _axis0_neighbors(n: int, a: int, b: int) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
-    """(slab rows, input rows) for the +1 then the -1 axis-0 neighbour of rows a..b-1.
-
-    Input rows are global, so a slab reads one halo plane on each side.
-    """
-    stop = min(b, n - 1)
-    start = max(a, 1)
-    return (slice(0, stop - a), slice(a + 1, stop + 1)), (slice(start - a, b - a), slice(start - 1, b - 1))
+    return _sweeps
 
 
 def _output(spec: GridSpec, u: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     """Validate a caller's ``out`` buffer, or allocate one."""
     if out is None:
         return np.empty(spec.size)
-    if not isinstance(out, np.ndarray) or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError("out must be a contiguous float64 ndarray")
+    if not isinstance(out, np.ndarray) or out.dtype != np.float64 or not out.flags.c_contiguous \
+            or not out.flags.writeable:
+        raise ValueError("out must be a writeable contiguous float64 ndarray")
     check_vector(spec, out, "out")
     if np.may_share_memory(out, u):
         raise ValueError("out must not share memory with u")
@@ -122,21 +99,10 @@ def apply_laplacian(spec: GridSpec, u: np.ndarray, out: np.ndarray | None = None
     out = _output(spec, u, out)
     lib = _compiled()
     if lib:
-        lib.masspcg_laplacian(spec.d, int(spec.n), np.ascontiguousarray(u), out, 2.0 * spec.d, spec.h**2)
+        u = np.ascontiguousarray(u)  # held while the kernel reads it
+        lib.masspcg_laplacian(spec.d, int(spec.n), u.ctypes.data, out.ctypes.data, 2.0 * spec.d, spec.h**2)
         return out
-    v = u.reshape(spec.shape)
-    w = out.reshape(spec.shape)
-    for a, b in _slabs(spec)[0]:
-        o, vs = w[a:b], v[a:b]
-        np.multiply(vs, 2.0 * spec.d, out=o)
-        for rows, src in _axis0_neighbors(spec.n, a, b):
-            o[rows] -= v[src]
-        for axis in range(1, spec.d):
-            lo, hi = _axis_slices(spec.d, axis)
-            o[lo] -= vs[hi]
-            o[hi] -= vs[lo]
-        o /= spec.h**2
-    return out
+    return _numpy().laplacian(spec, u, out)
 
 
 def apply_mass(spec: GridSpec, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -145,9 +111,7 @@ def apply_mass(spec: GridSpec, u: np.ndarray, out: np.ndarray | None = None) -> 
     Implemented as d successive 1D tridiagonal sweeps with weights
     ``(h/6)*(1, 4, 1)``, one along each axis, times the dimensional scale
     ``h**(2-d)``. The compiled kernel sweeps each axis-0 plane into a plane
-    buffer and each line across it into a line buffer; the numpy sweeps
-    alternate, per slab, between ``out`` and one slab-sized scratch buffer
-    so that the last one lands in ``out``. ``out`` is as in
+    buffer and each line across it into a line buffer. ``out`` is as in
     :func:`apply_laplacian`.
     """
     u = check_vector(spec, u)
@@ -158,30 +122,49 @@ def apply_mass(spec: GridSpec, u: np.ndarray, out: np.ndarray | None = None) -> 
         # a plane buffer in 3D and a line buffer in 2D and 3D
         n = int(spec.n)
         scratch = np.empty({1: 1, 2: n, 3: n * n + n}[spec.d])
-        lib.masspcg_mass(spec.d, n, np.ascontiguousarray(u), out, h / 6.0, h ** (2 - spec.d), scratch)
+        u = np.ascontiguousarray(u)
+        lib.masspcg_mass(spec.d, n, u.ctypes.data, out.ctypes.data, h / 6.0, h ** (2 - spec.d),
+                         scratch.ctypes.data)
         return out
-    v = u.reshape(spec.shape)
-    w = out.reshape(spec.shape)
-    slabs, largest = _slabs(spec)
-    scratch = np.empty(largest)
-    for a, b in slabs:
-        target = w[a:b]
-        spare = scratch[: target.size].reshape(target.shape)
-        # sweep k writes to target when d-1-k is even, so the last one does
-        dst = target if spec.d % 2 == 1 else spare
-        np.multiply(v[a:b], 4.0, out=dst)
-        for rows, src in _axis0_neighbors(spec.n, a, b):
-            dst[rows] += v[src]
-        dst *= h / 6.0
-        for axis in range(1, spec.d):
-            src, dst = dst, (spare if dst is target else target)
-            np.multiply(src, 4.0, out=dst)
-            lo, hi = _axis_slices(spec.d, axis)
-            dst[lo] += src[hi]
-            dst[hi] += src[lo]
-            dst *= h / 6.0
-        target *= h ** (2 - spec.d)
-    return out
+    return _numpy().mass(spec, u, out)
+
+
+def _check_update(written: tuple[np.ndarray, ...], read: tuple[np.ndarray, ...]) -> None:
+    """Reject operands the update kernels cannot take as bare pointers: they
+    read and write every vector to the first one's length."""
+    shape = written[0].shape
+    for v in (*written, *read):
+        if v.shape != shape or len(shape) != 1:
+            raise DimensionMismatchError(f"update vectors have shapes {v.shape} and {shape}, not one flat shape")
+        if v.dtype != np.float64 or not v.flags.c_contiguous:
+            raise ValueError("update vectors must be contiguous float64 ndarrays")
+    for v in written:
+        if not v.flags.writeable:
+            raise ValueError("updated vectors must be writeable")
+
+
+def cg_update(x: np.ndarray, r: np.ndarray, p: np.ndarray, Ap: np.ndarray, alpha: float) -> None:
+    """The CG step ``x += p*alpha`` and ``r -= Ap*alpha``, in place.
+
+    All four are flat contiguous float64 vectors of one length, and x and r
+    share no memory with the others.
+    """
+    _check_update((x, r), (p, Ap))
+    lib = _compiled()
+    if lib:
+        lib.masspcg_cg_update(x.size, x.ctypes.data, r.ctypes.data, p.ctypes.data, Ap.ctypes.data, alpha)
+        return
+    _numpy().cg_update(x, r, p, Ap, alpha)
+
+
+def p_update(p: np.ndarray, z: np.ndarray, beta: float) -> None:
+    """The new search direction ``p = p*beta + z``, in place; as :func:`cg_update`."""
+    _check_update((p,), (z,))
+    lib = _compiled()
+    if lib:
+        lib.masspcg_p_update(p.size, p.ctypes.data, z.ctypes.data, beta)
+        return
+    _numpy().p_update(p, z, beta)
 
 
 def apply_preconditioned(spec: GridSpec, u: np.ndarray) -> np.ndarray:

@@ -8,8 +8,10 @@ resumes from the true residual in the unlikely case the recurrence had drifted
 past the threshold.
 
 A solve allocates its work vectors once, before the first iteration, and
-updates them in place in chunks of ``SLAB`` entries; the inner products and
-norms stay whole-vector calls, so no sum is reordered.
+updates them in place with :func:`~masspcg.operators.cg_update` and
+:func:`~masspcg.operators.p_update`. The inner products stay whole-vector
+``dot`` calls, so no sum is reordered; ``||r||`` is ``sqrt(r·r)`` from the
+same ``r·r`` that plain CG uses as ``<z, r>``, as ``norm2`` computes it.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, check_vector, dot, norm2
-from .operators import SLAB, apply_laplacian, apply_mass
+from .grid import GridSpec, check_vector, dot
+from .operators import apply_laplacian, apply_mass, cg_update, p_update
 
 
 class NumericalBreakdownError(RuntimeError):
@@ -85,8 +87,14 @@ def _check_scalar(value: float, what: str) -> float:
     return value
 
 
-def _inner_zr(r: np.ndarray, z: np.ndarray) -> float:
-    rz = _check_scalar(dot(r, z), "<z, r>")
+def _residual(r: np.ndarray) -> tuple[float, float]:
+    """(r·r, ||r||), bit for bit ``norm2(r)`` as the norm, from one reduction."""
+    rr = dot(r, r)
+    return rr, _check_scalar(math.sqrt(rr), "residual norm")
+
+
+def _inner_zr(r: np.ndarray, z: np.ndarray, rr: float) -> float:
+    rz = _check_scalar(rr if z is r else dot(r, z), "<z, r>")
     if rz < 0.0:
         raise NumericalBreakdownError(f"<z, r> = {rz} is not positive")
     return rz
@@ -131,7 +139,7 @@ def cg_solve(
     max_iter = cfg.resolved_max_iter(spec)
     mass = cfg.precondition == "mass"
 
-    res = _check_scalar(norm2(r), "residual norm")
+    rr, res = _residual(r)
     history = [res]
     iterations = replacements = 0
     converged = res < cfg.tol
@@ -141,11 +149,7 @@ def cg_solve(
         z = apply_mass(spec, r) if mass else r
         p = z.copy()
         Ap = np.empty(spec.size)
-        t = np.empty(min(SLAB, spec.size))
-        chunks = [slice(i, i + SLAB) for i in range(0, spec.size, SLAB)]
-        steps = [(x[s], r[s], p[s], Ap[s], t[: len(x[s])]) for s in chunks]
-        directions = [(p[s], z[s]) for s in chunks]
-        rz = _inner_zr(r, z)
+        rz = _inner_zr(r, z, rr)
 
     # rz stays 0.0 when r0 already passes; otherwise a zero <z, r> has
     # underflowed at the attainable-accuracy floor: stop unconverged
@@ -155,12 +159,8 @@ def cg_solve(
         if pAp <= 0.0:
             raise NumericalBreakdownError(f"<p, Ap> = {pAp} is not positive")
         alpha = rz / pAp
-        for xs, rs, ps, Aps, ts in steps:
-            np.multiply(ps, alpha, out=ts)
-            xs += ts
-            np.multiply(Aps, alpha, out=ts)
-            rs -= ts
-        res = _check_scalar(norm2(r), "residual norm")
+        cg_update(x, r, p, Ap, alpha)
+        rr, res = _residual(r)
         history.append(res)
         iterations += 1
         if res < cfg.tol:
@@ -168,7 +168,7 @@ def cg_solve(
             # recurrence drifted, resume from the true residual. It is
             # written into r in place, since z is r in plain CG.
             np.subtract(b, apply_laplacian(spec, x, out=Ap), out=r)
-            res = norm2(r)
+            rr, res = _residual(r)
             if res < cfg.tol:
                 converged = True
                 break
@@ -176,13 +176,11 @@ def cg_solve(
             replacements += 1
         if mass:
             apply_mass(spec, r, out=z)
-        rz_new = _inner_zr(r, z)
+        rz_new = _inner_zr(r, z, rr)
         if rz_new == 0.0:
             break
         beta = rz_new / rz
-        for ps, zs in directions:
-            ps *= beta
-            ps += zs
+        p_update(p, z, beta)
         rz = rz_new
 
     return SolveReport(

@@ -192,8 +192,15 @@ def _preconditioned_max(spec: GridSpec) -> tuple[int, ...]:
     :func:`spectrum_report` caps ``n**max(d-1, 1)`` at ``SCAN_CAP``. Ties keep
     the first maximum found.
     """
-    n, d = spec.n, spec.d
-    cs = axis_cosines(spec)[::-1]  # ascending: position i holds k = n - i
+    n, d, top = spec.n, spec.d, spec.n
+    if d == 1:
+        # the one scan needs only the cosines around the vertex -1/2, at
+        # k = 2/(3h); eigenvalue's formula gives them bit for bit
+        top = min(n, int(2.0 / (3.0 * spec.h)) + 4)
+        cs = np.cos(pi * spec.h * np.arange(top, max(top - 8, 0), -1))
+    else:
+        cs = axis_cosines(spec)[::-1]
+    # ascending: position i holds k = top - i
     others = list(np.meshgrid(*([cs] * (d - 1)), indexing="ij", sparse=True))
     stride = n ** max(d - 2, 0)  # tuples per position of the first other coordinate
     rows = max(1, _SCAN_CHUNK // stride)
@@ -206,14 +213,14 @@ def _preconditioned_max(spec: GridSpec) -> tuple[int, ...]:
             p_other = p_other * (2.0 + o)
         pos = np.searchsorted(cs, (d - s_other - 2.0) / 2.0)
         for off in (0, -1):
-            j = np.clip(pos + off, 0, n - 1)
+            j = np.clip(pos + off, 0, len(cs) - 1)
             x = cs[j]
             lam = np.ravel((2.0 + x) * p_other * (d - s_other - x))
             i = int(np.argmax(lam))
             if lam[i] > best_val:
                 best_val = lam[i]
                 best = (np.ravel(j)[i], *np.unravel_index(start * stride + i, (n,) * (d - 1)))
-    return tuple(sorted(n - int(i) for i in best))
+    return tuple(sorted(top - int(i) for i in best))
 
 
 def closed_form_preconditioned_kappa(spec: GridSpec) -> tuple[int, float]:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,14 @@ def test_dot_norm_agree_with_numpy():
     v = rng.standard_normal(50)
     assert dot(u, v) == pytest.approx(float(u @ v), rel=1e-15)
     assert norm2(u) == pytest.approx(float(np.linalg.norm(u)), rel=1e-15)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 100, 4097, 1 << 20, (1 << 21) + 5])
+def test_norm2_is_sqrt_of_dot_bitwise(size):
+    # the solver takes ||r|| as sqrt(dot(r, r)) to share one reduction with
+    # <z, r>; numpy's norm of a real 1-D vector is sqrt(x.dot(x))
+    u = np.random.default_rng(size).standard_normal(size) * 1e-3
+    assert norm2(u).hex() == math.sqrt(dot(u, u)).hex()
 
 
 def test_dot_rejects_mismatched_lengths():

@@ -217,6 +217,13 @@ def test_bad_out_rejected(apply):
         apply(spec, u, out=np.zeros(spec.size, dtype=np.float32))
     with pytest.raises(ValueError, match="contiguous"):
         apply(spec, u, out=np.zeros(2 * spec.size)[::2])
+    # the compiled kernels take a bare pointer, so nothing else would stop
+    # them writing into a read-only buffer
+    read_only = np.zeros(spec.size)
+    read_only.flags.writeable = False
+    with pytest.raises(ValueError, match="writeable"):
+        apply(spec, u, out=read_only)
+    assert not read_only.any()
 
 
 # The compiled stencils and the numpy sweeps they fall back to must both give
@@ -287,6 +294,88 @@ def test_out_just_past_u_in_one_block(spec, offset, monkeypatch):
         monkeypatch.setattr(operators, "_kernels", kernels)
         assert same_bits(apply_laplacian(spec, u, out=out), reference_laplacian(spec, u)), kernels
         assert same_bits(apply_mass(spec, u, out=out), reference_mass(spec, u)), kernels
+
+
+def expected_updates(x, r, p, Ap, z, alpha, beta):
+    # the numpy expressions the kernels must reproduce; p*beta + z takes the
+    # updated p when z is the updated r, as plain CG does
+    x1, r1 = x + p * alpha, r - Ap * alpha
+    return x1, r1, p * beta + (r1 if z is r else z)
+
+
+def run_updates(x, r, p, Ap, z, alpha, beta):
+    operators.cg_update(x, r, p, Ap, alpha)
+    operators.p_update(p, z, beta)
+
+
+@pytest.mark.parametrize("size", [1, 255, 256, 257, 1 << 21])
+def test_updates_match_numpy_bitwise(size, monkeypatch):
+    rng = np.random.default_rng(size)
+    spec = GridSpec(1, size)
+    start = [signed_zero_vector(spec, rng) for _ in range(5)]
+    if size <= 257:
+        start[0][:] = start[2][:] = -0.0  # x + (-0.0)*alpha must stay -0.0
+    for kernels in stencil_kernels():
+        monkeypatch.setattr(operators, "_kernels", kernels)
+        for z_is_r in (False, True):
+            x, r, p, Ap, z = (v.copy() for v in start)
+            if z_is_r:
+                z = r
+            # three steps on the same vectors, each starting from the last
+            # one's results, with a zero and a negative step among them
+            for alpha, beta in [(0.37, 1.9), (0.0, -0.0), (-2.5, 0.125)]:
+                expected = expected_updates(x, r, p, Ap, z, alpha, beta)
+                run_updates(x, r, p, Ap, z, alpha, beta)
+                for got, want in zip((x, r, p), expected):
+                    assert same_bits(got, want), (kernels, z_is_r, alpha)
+
+
+@pytest.mark.parametrize("offset", [0, 16, 64])
+@pytest.mark.parametrize("size", [5000, 90000])
+def test_updates_with_operands_just_apart_in_one_block(size, offset, monkeypatch):
+    # x, r, p, Ap and z each start 2^k + offset bytes after the previous one
+    # in one allocation, the layout of adjacent work vectors
+    gap = ((1 << (8 * size - 1).bit_length()) + offset) // 8
+    block = np.zeros(4 * gap + size)
+    rng = np.random.default_rng(offset + size)
+    start = [signed_zero_vector(GridSpec(1, size), rng) for _ in range(5)]
+    for kernels in stencil_kernels():
+        monkeypatch.setattr(operators, "_kernels", kernels)
+        for z_is_r in (False, True):
+            x, r, p, Ap, z = (block[i * gap : i * gap + size] for i in range(5))
+            for v, value in zip((x, r, p, Ap, z), start):
+                v[:] = value
+            if z_is_r:
+                z = r
+            expected = expected_updates(x, r, p, Ap, z, 0.37, 1.9)
+            run_updates(x, r, p, Ap, z, 0.37, 1.9)
+            for got, want in zip((x, r, p), expected):
+                assert same_bits(got, want), (kernels, z_is_r)
+
+
+def test_updates_reject_bad_operands(monkeypatch):
+    # the kernels take bare pointers and trust the first vector's length
+    def vectors(n=4):
+        return [np.zeros(n) for _ in range(4)]
+
+    read_only = np.zeros(4)
+    read_only.flags.writeable = False
+    for kernels in stencil_kernels():
+        monkeypatch.setattr(operators, "_kernels", kernels)
+        with pytest.raises(DimensionMismatchError):
+            operators.cg_update(*vectors()[:3], np.zeros(3), 1.0)
+        with pytest.raises(DimensionMismatchError):
+            operators.p_update(np.zeros(4), np.zeros(5), 1.0)
+        with pytest.raises(DimensionMismatchError):
+            operators.p_update(np.zeros((2, 2)), np.zeros((2, 2)), 1.0)
+        with pytest.raises(ValueError, match="contiguous"):
+            operators.cg_update(*vectors()[:3], np.zeros(8)[::2], 1.0)
+        with pytest.raises(ValueError, match="float64"):
+            operators.p_update(np.zeros(4), np.zeros(4, dtype=np.float32), 1.0)
+        with pytest.raises(ValueError, match="writeable"):
+            operators.cg_update(np.zeros(4), read_only, *vectors()[:2], 1.0)
+        assert not read_only.any()
+        operators.p_update(np.zeros(4), read_only, 1.0)  # only read: accepted
 
 
 def test_failed_load_falls_back_to_numpy_bits(monkeypatch):

@@ -202,6 +202,31 @@ def test_drift_guard_replaces_residual_at_accuracy_floor(monkeypatch):
     assert h[-1] == pytest.approx(1.15e-15, rel=0.01)
 
 
+@pytest.mark.parametrize("precondition, per_iteration", [("none", 2), ("mass", 3)])
+def test_residual_norm_shares_the_r_dot_r_reduction(precondition, per_iteration, monkeypatch):
+    # per iteration: <p, Ap>, r·r (giving ||r|| and, in plain CG, <z, r>)
+    # and <z, r> in mass PCG; never a separate norm2
+    calls = {"dot": 0, "norm2": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(solver, "dot", counting("dot", dot))
+    monkeypatch.setattr(solver, "norm2", counting("norm2", norm2), raising=False)
+    spec = GridSpec(2, 16)
+    b = np.ones(spec.size)
+    report = cg_solve(spec, b, config=SolveConfig(tol=1e-8 * norm2(b), precondition=precondition))
+    assert report.converged and report.replacements == 0
+    # plus r·r before the loop and in the one drift check; mass PCG also
+    # takes <z, r> before the loop but not after the last update
+    assert calls["dot"] == per_iteration * report.iterations + 2
+    assert calls["norm2"] == 0
+
+
 def test_zr_underflow_stops_unconverged():
     # mass PCG at a tolerance below the attainable accuracy: <z, r>
     # underflows to 0.0 with a finite residual, which is the accuracy floor,

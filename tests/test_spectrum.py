@@ -200,6 +200,27 @@ PINNED_ARGMAX = {
 }
 
 
+def full_scan_argmax_1d(n):
+    # the 1D scan over every axis cosine: the two around the vertex -1/2 of
+    # (2+x)(1-x), first maximum kept
+    cs = spectrum.axis_cosines(GridSpec(1, n))[::-1]  # position i holds k = n - i
+    pos = int(np.searchsorted(cs, -0.5))
+    best_val, best = -np.inf, None
+    for j in (min(pos, n - 1), max(pos - 1, 0)):
+        lam = (2.0 + cs[j]) * 1.0 * (1.0 - 0.0 - cs[j])
+        if lam > best_val:
+            best_val, best = lam, (n - j,)
+    return best
+
+
+def test_1d_argmax_scans_only_cosines_around_the_vertex():
+    # the 1D scan evaluates eight cosines around k = 2/(3h), not all n; its
+    # argmax must be the full scan's, up to the scan cap
+    sizes = list(range(1, 3001)) + [65536, 10**6 + 1, 2**24]
+    for n in sizes:
+        assert spectrum._preconditioned_max(GridSpec(1, n)) == full_scan_argmax_1d(n), n
+
+
 @pytest.mark.parametrize("d", sorted(PINNED_ARGMAX))
 def test_preconditioned_argmax_pinned(d):
     limit, digest = PINNED_ARGMAX[d]
