@@ -3,12 +3,14 @@
  * masspcg.operators.
  *
  * operators.py compiles this file the first time a kernel runs and calls it
- * through ctypes; its slab-tiled numpy sweeps and updates stay as the
- * reference and the fallback. Every element gets the same floating-point
- * operations in the same order as those, so the results are bit-identical: a
- * missing Dirichlet neighbour is skipped, or a zero subtracted, which is exact
- * and keeps -0.0. That holds only without FMA contraction or reassociation, so
- * build with -ffp-contract=off and never with -ffast-math.
+ * through ctypes; the numpy code of _sweeps.py is the fallback. The bitwise
+ * reference is the whole-array numpy stencils of tests/oracle.py and the
+ * numpy expressions x + p*alpha, r - Ap*alpha and p*beta + z. Every element
+ * gets the same floating-point operations in the same order as those, so the
+ * results are bit-identical: a missing Dirichlet neighbour is skipped, or a
+ * zero subtracted, which is exact and keeps -0.0. That holds only without FMA
+ * contraction or reassociation, so build with -ffp-contract=off and never with
+ * -ffast-math.
  *
  * The grid is viewed as m0 planes of m1 lines of n contiguous values:
  * (1, 1, n) in 1D, (1, n, n) in 2D and (n, n, n) in 3D. The numpy axes map to

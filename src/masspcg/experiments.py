@@ -27,7 +27,6 @@ from .operators import OperatorKind
 from .solver import WORK_VECTORS, SolveConfig, SolveReport, cg_solve
 from .spectrum import (
     ASYMPTOTIC_RATIO_LIMIT,
-    DEFAULT_SPECTRUM_CAP,
     RatioReport,
     full_spectrum,
     ratio_report,
@@ -204,9 +203,9 @@ CONDITION_HEADERS = ("d", "n", "kappa", "kappa_p", "ratio", "sqrt_ratio")
 ITERATION_HEADERS = ("d", "n", "mtx-size", "itn-unprec", "itn-prec", "th-itn-ratio", "itn-ratio")
 
 
-def spectrum_cells(kind: OperatorKind, spec: GridSpec, cap: int = DEFAULT_SPECTRUM_CAP) -> list[tuple[str, str]]:
+def spectrum_cells(kind: OperatorKind, spec: GridSpec) -> list[tuple[str, str]]:
     """(index, eigenvalue) string rows of the sorted spectrum, 1-based rank."""
-    values = full_spectrum(kind, spec, cap=cap)
+    values = full_spectrum(kind, spec)
     return [(str(rank), _fmt_value(v)) for rank, v in enumerate(values, start=1)]
 
 

@@ -24,10 +24,13 @@ class GridSpec:
     n: int
 
     def __post_init__(self):
-        if self.d not in (1, 2, 3):
+        if not isinstance(self.d, (int, np.integer)) or self.d not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValueError(f"interior point count must be a positive integer, got {self.n}")
+        # Python ints, so that size and the scan counts cannot wrap around
+        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "n", int(self.n))
 
     @property
     def h(self) -> float:

@@ -17,10 +17,9 @@ Scaling conventions on the unit domain with ``h = 1/(n+1)``:
 The first call to a stencil or to a CG update (:func:`cg_update`,
 :func:`p_update`) compiles ``_stencils.c`` with the system C compiler and
 loads it through ctypes; later calls and processes reuse the cached library.
-The compiled kernels make one pass per grid line or vector and give the same
-bits as the slab-tiled numpy code of ``_sweeps``, which stays as the reference
-and as the fallback when no compiler is found or the build or load fails.
-Nothing is compiled, loaded or parsed for either at import.
+Without a compiler, or when the build or load fails, the numpy fallback of
+``_sweeps`` serves. Both give the bits of ``tests/oracle.py``, the bitwise
+reference. Nothing is compiled, loaded or parsed for either at import.
 """
 
 from __future__ import annotations
@@ -64,14 +63,25 @@ def _numpy():
     return _sweeps
 
 
+def _check_buffers(size: int, written: tuple, read: tuple = ()) -> None:
+    """Reject vectors the kernels cannot take as bare pointers: each must be a
+    flat contiguous float64 ndarray of ``size`` entries, writeable if written."""
+    shape = (size,)
+    for v in (*written, *read):
+        if not isinstance(v, np.ndarray) or v.dtype != np.float64 or not v.flags.c_contiguous:
+            raise ValueError("vectors must be contiguous float64 ndarrays")
+        if v.shape != shape:
+            raise DimensionMismatchError(f"a vector has shape {v.shape}, expected {shape}")
+    for v in written:
+        if not v.flags.writeable:
+            raise ValueError("written vectors must be writeable")
+
+
 def _output(spec: GridSpec, u: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     """Validate a caller's ``out`` buffer, or allocate one."""
     if out is None:
         return np.empty(spec.size)
-    if not isinstance(out, np.ndarray) or out.dtype != np.float64 or not out.flags.c_contiguous \
-            or not out.flags.writeable:
-        raise ValueError("out must be a writeable contiguous float64 ndarray")
-    check_vector(spec, out, "out")
+    _check_buffers(spec.size, (out,))
     if np.may_share_memory(out, u):
         raise ValueError("out must not share memory with u")
     return out
@@ -100,7 +110,7 @@ def apply_laplacian(spec: GridSpec, u: np.ndarray, out: np.ndarray | None = None
     lib = _compiled()
     if lib:
         u = np.ascontiguousarray(u)  # held while the kernel reads it
-        lib.masspcg_laplacian(spec.d, int(spec.n), u.ctypes.data, out.ctypes.data, 2.0 * spec.d, spec.h**2)
+        lib.masspcg_laplacian(spec.d, spec.n, u.ctypes.data, out.ctypes.data, 2.0 * spec.d, spec.h**2)
         return out
     return _numpy().laplacian(spec, u, out)
 
@@ -120,27 +130,12 @@ def apply_mass(spec: GridSpec, u: np.ndarray, out: np.ndarray | None = None) -> 
     lib = _compiled()
     if lib:
         # a plane buffer in 3D and a line buffer in 2D and 3D
-        n = int(spec.n)
-        scratch = np.empty({1: 1, 2: n, 3: n * n + n}[spec.d])
+        scratch = np.empty({1: 1, 2: spec.n, 3: spec.n**2 + spec.n}[spec.d])
         u = np.ascontiguousarray(u)
-        lib.masspcg_mass(spec.d, n, u.ctypes.data, out.ctypes.data, h / 6.0, h ** (2 - spec.d),
+        lib.masspcg_mass(spec.d, spec.n, u.ctypes.data, out.ctypes.data, h / 6.0, h ** (2 - spec.d),
                          scratch.ctypes.data)
         return out
     return _numpy().mass(spec, u, out)
-
-
-def _check_update(written: tuple[np.ndarray, ...], read: tuple[np.ndarray, ...]) -> None:
-    """Reject operands the update kernels cannot take as bare pointers: they
-    read and write every vector to the first one's length."""
-    shape = written[0].shape
-    for v in (*written, *read):
-        if v.shape != shape or len(shape) != 1:
-            raise DimensionMismatchError(f"update vectors have shapes {v.shape} and {shape}, not one flat shape")
-        if v.dtype != np.float64 or not v.flags.c_contiguous:
-            raise ValueError("update vectors must be contiguous float64 ndarrays")
-    for v in written:
-        if not v.flags.writeable:
-            raise ValueError("updated vectors must be writeable")
 
 
 def cg_update(x: np.ndarray, r: np.ndarray, p: np.ndarray, Ap: np.ndarray, alpha: float) -> None:
@@ -149,7 +144,7 @@ def cg_update(x: np.ndarray, r: np.ndarray, p: np.ndarray, Ap: np.ndarray, alpha
     All four are flat contiguous float64 vectors of one length, and x and r
     share no memory with the others.
     """
-    _check_update((x, r), (p, Ap))
+    _check_buffers(x.size, (x, r), (p, Ap))
     lib = _compiled()
     if lib:
         lib.masspcg_cg_update(x.size, x.ctypes.data, r.ctypes.data, p.ctypes.data, Ap.ctypes.data, alpha)
@@ -159,7 +154,7 @@ def cg_update(x: np.ndarray, r: np.ndarray, p: np.ndarray, Ap: np.ndarray, alpha
 
 def p_update(p: np.ndarray, z: np.ndarray, beta: float) -> None:
     """The new search direction ``p = p*beta + z``, in place; as :func:`cg_update`."""
-    _check_update((p,), (z,))
+    _check_buffers(p.size, (p,), (z,))
     lib = _compiled()
     if lib:
         lib.masspcg_p_update(p.size, p.ctypes.data, z.ctypes.data, beta)

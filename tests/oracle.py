@@ -11,7 +11,8 @@ Dense matrices are plain 2-D float64 arrays. Everything here is test support;
 sizes are capped at 4096 rows.
 
 ``reference_laplacian`` and ``reference_mass`` apply the stencils to the whole
-array at once, one pass per neighbour. The slab-tiled operators make the same
+array at once, one pass per neighbour. They are the bitwise reference: the
+compiled kernels and the numpy fallback of ``masspcg.operators`` make the same
 floating-point operations in the same order per element, so they must match
 these bit for bit on any grid size, including grids far past the dense cap.
 """

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from masspcg import DimensionMismatchError, GridSpec, dot, norm2
+from masspcg import DimensionMismatchError, GridSpec, OperatorKind, SpectrumCapError, dot, norm2, spectrum_report
+from masspcg.experiments import SolveMemoryError, check_solve_memory
 from masspcg.grid import check_vector
 
 
@@ -26,6 +27,29 @@ def test_bad_dimension_rejected(d):
 def test_bad_size_rejected(n):
     with pytest.raises(ValueError):
         GridSpec(2, n)
+
+
+@pytest.mark.parametrize("d, n", [(np.int64(3), 5), (3, np.int64(5)), (np.int32(3), np.uint16(5))])
+def test_numpy_integers_stored_as_python_ints(d, n):
+    spec = GridSpec(d, n)
+    assert type(spec.d) is int and type(spec.n) is int
+    assert spec == GridSpec(3, 5)
+
+
+def test_numpy_integer_n_cannot_wrap_the_resource_checks():
+    # with n stored as np.int64, n**d wrapped around: size read -2**63, so
+    # the memory check passed, and the scan count read 0, under the cap
+    spec = GridSpec(3, np.int64(2**21))
+    assert spec.size == 2**63
+    with pytest.raises(SolveMemoryError):
+        check_solve_memory(spec, "none")
+    with pytest.raises(SpectrumCapError):
+        spectrum_report(OperatorKind.PRECONDITIONED, GridSpec(3, np.int64(2**32)))
+
+
+def test_non_integer_dimension_rejected():
+    with pytest.raises(ValueError):
+        GridSpec(3.0, 4)
 
 
 def test_spec_is_immutable():

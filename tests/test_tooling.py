@@ -2,10 +2,14 @@
 package carries what it needs at run time."""
 
 import importlib.resources
+import json
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import masspcg._native as native
 
@@ -37,3 +41,33 @@ def test_every_exported_kernel_is_declared():
     for name, params in exported.items():
         assert len(params.split(",")) == len(native.SIGNATURES[name]), name
     assert not re.search(r"^(?!static|void masspcg_)\w[\w\s*]*\bmasspcg_\w+\(", source, re.M)
+
+
+LAZY_IMPORT_PROBE = """
+import json, sys
+import numpy as np
+import masspcg, masspcg.cli
+from masspcg import GridSpec, apply_mass, operators
+lazy = ("masspcg._native", "masspcg._sweeps")
+at_import = [m for m in lazy if m in sys.modules]
+apply_mass(GridSpec(2, 4), np.ones(16))
+print(json.dumps({"at_import": at_import, "compiled": bool(operators._kernels),
+                  "sweeps_after_call": "masspcg._sweeps" in sys.modules}))
+"""
+
+
+def test_kernel_modules_are_imported_lazily():
+    # parsing the build code and the numpy fallback at import would add to the
+    # start-up time of every command; the fallback is not parsed at all while
+    # the compiled kernels serve
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", LAZY_IMPORT_PROBE], cwd=ROOT, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    probe = json.loads(result.stdout)
+    assert probe["at_import"] == []
+    if native.compiler() is None:
+        pytest.skip("no C compiler on PATH: the numpy fallback serves")
+    assert probe["compiled"]
+    assert not probe["sweeps_after_call"]
