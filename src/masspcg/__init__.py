@@ -2,13 +2,7 @@
 spectra, and conjugate gradients with multiply-only mass preconditioning."""
 
 from .grid import DimensionMismatchError, GridSpec, dot, norm2
-from .operators import (
-    OperatorKind,
-    apply_laplacian,
-    apply_mass,
-    apply_operator,
-    apply_preconditioned,
-)
+from .operators import OperatorKind, apply_laplacian, apply_mass
 from .solver import (
     NumericalBreakdownError,
     SolveConfig,
@@ -44,8 +38,6 @@ __all__ = [
     "SpectrumReport",
     "apply_laplacian",
     "apply_mass",
-    "apply_operator",
-    "apply_preconditioned",
     "cg_solve",
     "closed_form_preconditioned_kappa",
     "dot",

@@ -1,14 +1,18 @@
 """Build and load the compiled kernels of ``_stencils.c``: the Laplacian and
 mass stencils and the two CG vector updates.
 
+The loaded library is one implementation of the kernel table of
+``SIGNATURES``; ``_sweeps`` is the other, with the same names and arguments.
 ``operators`` imports this module on the first kernel call, never at
 import, so a fresh ``import masspcg`` does not even parse it. The library is
 built once per source, compiler, flags and platform, and cached as
-``__pycache__/_stencils-<sha256>.so`` beside the source.
+``__pycache__/_stencils-<sha256>.so`` beside the source, where a build
+deletes the libraries of earlier sources.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -39,7 +43,8 @@ def build(command: list[str], target: Path) -> Path:
     """Compile the source to a temporary name beside ``target``, then rename it.
 
     The rename is atomic, so processes that build at once each leave a whole
-    library. Compiler output is discarded.
+    library. Compiler output is discarded. Every other ``_stencils-*.so``
+    there is then deleted; temporaries of builds still running stay.
     """
     fd, tmp = tempfile.mkstemp(prefix=target.name + ".", dir=target.parent)
     os.close(fd)
@@ -50,30 +55,45 @@ def build(command: list[str], target: Path) -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for stale in target.parent.glob("_stencils-*.so"):
+        if stale != target:
+            with contextlib.suppress(OSError):
+                stale.unlink()
     return target
 
 
-#: Argument types of every exported kernel; open_library declares each one.
-#: Vectors pass as bare data pointers, which ``operators`` checks for dtype,
-#: layout and length first: ndpointer's checks and conversion took about
-#: 5 us per vector per call on a 2-vCPU Xeon VM, more than a whole update of
-#: 1,024 values.
-_F64, _I64, _PTR = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
+class Vector:
+    """ctypes argument type of a vector: its data pointer as a ``c_void_p``
+    (a plain int would pass as a 32-bit C int). ``operators`` checks dtype,
+    layout and length first: ndpointer's checks and conversion took about
+    5 us per vector per call on a 2-vCPU Xeon VM, more than a whole update
+    of 1,024 values."""
+
+    @classmethod
+    def from_param(cls, v):
+        return ctypes.c_void_p(v.ctypes.data)
+
+
+#: The kernel table: argument types of every kernel, which ``_stencils.c``
+#: exports as ``masspcg_<name>`` and ``_sweeps`` defines as ``<name>``.
+_F64, _I64, _VEC = ctypes.c_double, ctypes.c_int64, Vector
 SIGNATURES = {
-    "masspcg_laplacian": [_I64, _I64, _PTR, _PTR, _F64, _F64],
-    "masspcg_mass": [_I64, _I64, _PTR, _PTR, _F64, _F64, _PTR],
-    "masspcg_cg_update": [_I64, _PTR, _PTR, _PTR, _PTR, _F64],
-    "masspcg_p_update": [_I64, _PTR, _PTR, _F64],
+    "laplacian": [_I64, _I64, _VEC, _VEC, _F64, _F64],
+    "mass": [_I64, _I64, _VEC, _VEC, _F64, _F64, _VEC],
+    "cg_update": [_I64, _VEC, _VEC, _VEC, _VEC, _F64],
+    "p_update": [_I64, _VEC, _VEC, _F64],
 }
 
 
 def open_library(path: Path) -> ctypes.CDLL:
-    """Load the library at ``path`` and declare its functions from ``SIGNATURES``."""
+    """Load the library at ``path`` and declare its functions from
+    ``SIGNATURES``, each as an attribute of the table's name."""
     lib = ctypes.CDLL(str(path))
     for name, argtypes in SIGNATURES.items():
-        function = getattr(lib, name)
+        function = getattr(lib, f"masspcg_{name}")
         function.argtypes = argtypes
         function.restype = None
+        setattr(lib, name, function)
     return lib
 
 
@@ -100,13 +120,13 @@ def load_library() -> ctypes.CDLL:
     return open_library(target)
 
 
-def load() -> ctypes.CDLL | bool:
-    """The library, or False when it cannot be built or loaded.
+def load() -> ctypes.CDLL | None:
+    """The library, or None when it cannot be built or loaded.
 
     No compiler, a failed build, or a library that will not load or lacks a
-    symbol all give False, silently: the numpy sweeps serve instead.
+    symbol all give None, silently: the numpy sweeps serve instead.
     """
     try:
         return load_library()
     except (OSError, subprocess.SubprocessError, AttributeError):
-        return False
+        return None

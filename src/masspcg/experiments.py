@@ -102,7 +102,6 @@ def run_solve(
     precondition: str = "none",
     rhs: str = "ones",
     seed: int = DEFAULT_SEED,
-    max_iter: int | None = None,
     record_history: bool = True,
 ) -> SolveReport:
     """CG solve with the relative stopping rule ||r_i|| < tol * ||b||.
@@ -114,7 +113,6 @@ def run_solve(
     b = make_rhs(spec, rhs, seed)
     config = SolveConfig(
         tol=tol * norm2(b),
-        max_iter=max_iter,
         precondition=precondition,
         record_history=record_history,
     )

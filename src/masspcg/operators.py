@@ -18,7 +18,10 @@ The first call to a stencil or to a CG update (:func:`cg_update`,
 :func:`p_update`) compiles ``_stencils.c`` with the system C compiler and
 loads it through ctypes; later calls and processes reuse the cached library.
 Without a compiler, or when the build or load fails, the numpy fallback of
-``_sweeps`` serves. Both give the bits of ``tests/oracle.py``, the bitwise
+``_sweeps`` serves. The two are one kernel table with the same names and
+arguments (``_native.SIGNATURES``): each operator checks its operands,
+computes the rounded scalars and the scratch once, and makes one call to
+whichever serves. Both give the bits of ``tests/oracle.py``, the bitwise
 reference. Nothing is compiled, loaded or parsed for either at import.
 """
 
@@ -39,28 +42,26 @@ class OperatorKind(enum.Enum):
     PRECONDITIONED = "preconditioned"
 
 
-# The compiled kernels: None until the first kernel call, then the loaded
-# library, or False when it could not be built or loaded.
+# The kernel table that serves every call: None until the first kernel call,
+# then the compiled library, or the _sweeps module when it could not be built
+# or loaded.
 _kernels = None
 
 
-def _compiled():
-    """The compiled kernels, built or loaded on first use; False when unavailable."""
+def _backend():
+    """The kernel table, chosen on first use."""
     global _kernels
     if _kernels is None:
         # imported here so that importing masspcg neither builds nor loads
-        # anything, nor even parses the build code
+        # anything, nor even parses the build code or the fallback
         from . import _native
 
         _kernels = _native.load()
+        if _kernels is None:
+            from . import _sweeps
+
+            _kernels = _sweeps
     return _kernels
-
-
-def _numpy():
-    """The numpy fallback, imported only when a kernel call needs it."""
-    from . import _sweeps
-
-    return _sweeps
 
 
 def _check_buffers(size: int, written: tuple, read: tuple = ()) -> None:
@@ -77,14 +78,17 @@ def _check_buffers(size: int, written: tuple, read: tuple = ()) -> None:
             raise ValueError("written vectors must be writeable")
 
 
-def _output(spec: GridSpec, u: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """Validate a caller's ``out`` buffer, or allocate one."""
+def _operands(spec: GridSpec, u, out: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """``u`` as a contiguous float64 grid vector, and the caller's checked
+    ``out`` buffer or a new one."""
+    u = check_vector(spec, u)
     if out is None:
-        return np.empty(spec.size)
-    _check_buffers(spec.size, (out,))
-    if np.may_share_memory(out, u):
-        raise ValueError("out must not share memory with u")
-    return out
+        out = np.empty(spec.size)
+    else:
+        _check_buffers(spec.size, (out,))
+        if np.may_share_memory(out, u):
+            raise ValueError("out must not share memory with u")
+    return np.ascontiguousarray(u), out
 
 
 def apply_laplacian(spec: GridSpec, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -105,14 +109,9 @@ def apply_laplacian(spec: GridSpec, u: np.ndarray, out: np.ndarray | None = None
     ndarray
         ``A_d @ u``, flat (``out`` when given).
     """
-    u = check_vector(spec, u)
-    out = _output(spec, u, out)
-    lib = _compiled()
-    if lib:
-        u = np.ascontiguousarray(u)  # held while the kernel reads it
-        lib.masspcg_laplacian(spec.d, spec.n, u.ctypes.data, out.ctypes.data, 2.0 * spec.d, spec.h**2)
-        return out
-    return _numpy().laplacian(spec, u, out)
+    u, out = _operands(spec, u, out)
+    _backend().laplacian(spec.d, spec.n, u, out, 2.0 * spec.d, spec.h**2)
+    return out
 
 
 def apply_mass(spec: GridSpec, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -124,18 +123,13 @@ def apply_mass(spec: GridSpec, u: np.ndarray, out: np.ndarray | None = None) -> 
     buffer and each line across it into a line buffer. ``out`` is as in
     :func:`apply_laplacian`.
     """
-    u = check_vector(spec, u)
-    out = _output(spec, u, out)
-    h = spec.h
-    lib = _compiled()
-    if lib:
-        # a plane buffer in 3D and a line buffer in 2D and 3D
-        scratch = np.empty({1: 1, 2: spec.n, 3: spec.n**2 + spec.n}[spec.d])
-        u = np.ascontiguousarray(u)
-        lib.masspcg_mass(spec.d, spec.n, u.ctypes.data, out.ctypes.data, h / 6.0, h ** (2 - spec.d),
-                         scratch.ctypes.data)
-        return out
-    return _numpy().mass(spec, u, out)
+    u, out = _operands(spec, u, out)
+    d, n, h = spec.d, spec.n, spec.h
+    # the compiled kernel's plane buffer in 3D and line buffer in 2D and 3D;
+    # the numpy sweeps take the first n**(d-1) values as one axis-0 plane
+    scratch = np.empty({1: 1, 2: n, 3: n * n + n}[d])
+    _backend().mass(d, n, u, out, h / 6.0, h ** (2 - d), scratch)
+    return out
 
 
 def cg_update(x: np.ndarray, r: np.ndarray, p: np.ndarray, Ap: np.ndarray, alpha: float) -> None:
@@ -145,35 +139,11 @@ def cg_update(x: np.ndarray, r: np.ndarray, p: np.ndarray, Ap: np.ndarray, alpha
     share no memory with the others.
     """
     _check_buffers(x.size, (x, r), (p, Ap))
-    lib = _compiled()
-    if lib:
-        lib.masspcg_cg_update(x.size, x.ctypes.data, r.ctypes.data, p.ctypes.data, Ap.ctypes.data, alpha)
-        return
-    _numpy().cg_update(x, r, p, Ap, alpha)
+    _backend().cg_update(x.size, x, r, p, Ap, alpha)
 
 
 def p_update(p: np.ndarray, z: np.ndarray, beta: float) -> None:
     """The new search direction ``p = p*beta + z``, in place; as :func:`cg_update`."""
     _check_buffers(p.size, (p,), (z,))
-    lib = _compiled()
-    if lib:
-        lib.masspcg_p_update(p.size, p.ctypes.data, z.ctypes.data, beta)
-        return
-    _numpy().p_update(p, z, beta)
+    _backend().p_update(p.size, p, z, beta)
 
-
-def apply_preconditioned(spec: GridSpec, u: np.ndarray) -> np.ndarray:
-    """Apply the mass-preconditioned Laplacian, mass(laplacian(u))."""
-    return apply_mass(spec, apply_laplacian(spec, u))
-
-
-_APPLY = {
-    OperatorKind.LAPLACIAN: apply_laplacian,
-    OperatorKind.MASS: apply_mass,
-    OperatorKind.PRECONDITIONED: apply_preconditioned,
-}
-
-
-def apply_operator(kind: OperatorKind, spec: GridSpec, u: np.ndarray) -> np.ndarray:
-    """Apply the operator selected by ``kind``."""
-    return _APPLY[kind](spec, u)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from masspcg.grid import GridSpec
-from masspcg.operators import OperatorKind
+from masspcg.operators import OperatorKind, apply_laplacian, apply_mass
 
 #: Largest dense system assembled (rows = n**d).
 DENSE_SIZE_CAP = 4096
@@ -100,6 +100,16 @@ def reference_mass(spec: GridSpec, u: np.ndarray) -> np.ndarray:
         v = w
     v *= h ** (2 - spec.d)
     return v.reshape(-1)
+
+
+def apply_operator(kind: OperatorKind, spec: GridSpec, u: np.ndarray) -> np.ndarray:
+    """The matrix-free operator selected by ``kind``; the preconditioned one is
+    ``apply_mass`` after ``apply_laplacian``."""
+    if kind is OperatorKind.LAPLACIAN:
+        return apply_laplacian(spec, u)
+    if kind is OperatorKind.MASS:
+        return apply_mass(spec, u)
+    return apply_mass(spec, apply_laplacian(spec, u))
 
 
 def assemble_dense(kind: OperatorKind, spec: GridSpec) -> np.ndarray:

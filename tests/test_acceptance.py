@@ -30,7 +30,6 @@ from masspcg import (
     OperatorKind,
     apply_laplacian,
     apply_mass,
-    apply_operator,
     cg_solve,
     dot,
     eigenvalue,
@@ -41,7 +40,7 @@ from masspcg import (
 )
 from masspcg.cli import main
 from masspcg.experiments import iteration_row
-from oracle import assemble_dense, rayleigh_eigenvalues
+from oracle import apply_operator, assemble_dense, rayleigh_eigenvalues
 
 # reference condition numbers: kappa is dimension-independent, kappa_p is not
 KAPPA_REF = {8: 32.1634, 16: 116.4612, 32: 440.6886}

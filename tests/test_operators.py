@@ -13,12 +13,10 @@ from masspcg import (
     OperatorKind,
     apply_laplacian,
     apply_mass,
-    apply_operator,
-    apply_preconditioned,
     dot,
     eigenvalue,
 )
-from oracle import reference_laplacian, reference_mass, sine_vector
+from oracle import apply_operator, reference_laplacian, reference_mass, sine_vector
 
 ALL_KINDS = list(OperatorKind)
 SMALL_SPECS = [GridSpec(d, n) for d in (1, 2, 3) for n in (1, 2, 3, 5, 8)]
@@ -107,7 +105,7 @@ def test_preconditioned_is_composition():
     rng = np.random.default_rng(1)
     u = random_vector(spec, rng)
     np.testing.assert_allclose(
-        apply_preconditioned(spec, u),
+        apply_operator(OperatorKind.PRECONDITIONED, spec, u),
         apply_mass(spec, apply_laplacian(spec, u)),
         rtol=1e-14,
     )
@@ -218,12 +216,12 @@ BITWISE_SPECS = (
 
 def stencil_kernels():
     """Values of ``operators._kernels`` to test: the compiled library when a
-    compiler is found, then False, which selects the numpy sweeps."""
+    compiler is found, then the numpy sweeps."""
     if native.compiler() is None:
-        return [False]
-    lib = operators._compiled()
-    assert lib, "a C compiler is on PATH but the stencils did not build"
-    return [lib, False]
+        return [sweeps]
+    lib = operators._backend()
+    assert lib is not sweeps, "a C compiler is on PATH but the stencils did not build"
+    return [lib, sweeps]
 
 
 def same_bits(a, b):
@@ -368,7 +366,7 @@ def test_failed_load_falls_back_to_numpy_bits(monkeypatch):
         u = signed_zero_vector(spec, np.random.default_rng(spec.size))
         assert same_bits(apply_laplacian(spec, u), reference_laplacian(spec, u))
         assert same_bits(apply_mass(spec, u), reference_mass(spec, u))
-    assert operators._kernels is False
+    assert operators._kernels is sweeps
 
 
 @pytest.mark.parametrize("spec", [GridSpec(3, 64), GridSpec(2, 512)], ids=str)
@@ -377,11 +375,13 @@ def test_fallback_allocates_no_vector_sized_temporary(spec):
     # fallback may allocate scratch of a plane or a chunk, never of a vector
     rng = np.random.default_rng(spec.n)
     x, r, p, Ap = (rng.standard_normal(spec.size) for _ in range(4))
+    d, n, h, size = spec.d, spec.n, spec.h, spec.size
+    scratch = np.empty(n * n + n)  # the size of the mass scratch of operators in 3D
     calls = {
-        "laplacian": lambda: sweeps.laplacian(spec, x, r),
-        "mass": lambda: sweeps.mass(spec, x, r),
-        "cg_update": lambda: sweeps.cg_update(x, r, p, Ap, 0.37),
-        "p_update": lambda: sweeps.p_update(p, r, 1.9),
+        "laplacian": lambda: sweeps.laplacian(d, n, x, r, 2.0 * d, h**2),
+        "mass": lambda: sweeps.mass(d, n, x, r, h / 6.0, h ** (2 - d), scratch),
+        "cg_update": lambda: sweeps.cg_update(size, x, r, p, Ap, 0.37),
+        "p_update": lambda: sweeps.p_update(size, p, r, 1.9),
     }
     for name, call in calls.items():
         tracemalloc.start()
@@ -420,6 +420,24 @@ def test_second_load_reuses_cached_library(tmp_path, monkeypatch):
         assert same_bits(apply_laplacian(spec, u), reference_laplacian(spec, u))
 
 
+def test_build_deletes_libraries_of_earlier_sources(tmp_path, monkeypatch):
+    if native.compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    monkeypatch.setattr(native, "SOURCE", copied_source(tmp_path))
+    native.load_library()
+    # a build still running elsewhere: its temporary file must survive
+    running = tmp_path / "__pycache__" / "_stencils-0.so.tmp123"
+    running.write_text("")
+    copied_source(tmp_path, "\n/* another source */\n")
+    lib = native.load_library()
+    assert len(list((tmp_path / "__pycache__").glob("_stencils-*.so"))) == 1
+    assert running.exists()
+    spec = GridSpec(2, 9)
+    u = np.random.default_rng(9).standard_normal(spec.size)
+    monkeypatch.setattr(operators, "_kernels", lib)
+    assert same_bits(apply_laplacian(spec, u), reference_laplacian(spec, u))
+
+
 def test_unwritable_cache_builds_privately(tmp_path, monkeypatch):
     if native.compiler() is None:
         pytest.skip("no C compiler on PATH")
@@ -440,7 +458,7 @@ def test_failed_build_prints_nothing(tmp_path, monkeypatch, capfd):
     spec = GridSpec(2, 7)
     u = np.random.default_rng(7).standard_normal(spec.size)
     assert same_bits(apply_laplacian(spec, u), reference_laplacian(spec, u))
-    assert operators._kernels is False
+    assert operators._kernels is sweeps
     assert capfd.readouterr() == ("", "")
     # no library and no half-written temporary file is left behind
     assert not list(tmp_path.glob("__pycache__/*"))

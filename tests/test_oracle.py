@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from masspcg import GridSpec, OperatorKind, apply_operator, eigenvalue
+from masspcg import GridSpec, OperatorKind, eigenvalue
 from oracle import (
     DENSE_SIZE_CAP,
+    apply_operator,
     assemble_dense,
     rayleigh_eigenvalues,
     sine_vector,

@@ -2,6 +2,7 @@
 package carries what it needs at run time."""
 
 import importlib.resources
+import inspect
 import json
 import os
 import re
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import masspcg._native as native
+import masspcg._sweeps as sweeps
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,7 +37,7 @@ def test_every_exported_kernel_is_declared():
     # source without an entry in the declaration table must fail here, not
     # corrupt a solve at run time
     source = native.SOURCE.read_text()
-    exported = {name: params for name, params in re.findall(r"^void (masspcg_\w+)\(([^)]*)\)", source, re.M)}
+    exported = {name: params for name, params in re.findall(r"^void masspcg_(\w+)\(([^)]*)\)", source, re.M)}
     assert exported, "no masspcg_* function found in the kernel source"
     assert set(exported) == set(native.SIGNATURES)
     for name, params in exported.items():
@@ -43,15 +45,24 @@ def test_every_exported_kernel_is_declared():
     assert not re.search(r"^(?!static|void masspcg_)\w[\w\s*]*\bmasspcg_\w+\(", source, re.M)
 
 
+def test_numpy_fallback_implements_the_kernel_table():
+    # operators calls whichever backend serves with the same arguments, so
+    # every kernel must exist in _sweeps under its table name and arity
+    for name, argtypes in native.SIGNATURES.items():
+        function = getattr(sweeps, name, None)
+        assert inspect.isfunction(function), name
+        assert len(inspect.signature(function).parameters) == len(argtypes), name
+
+
 LAZY_IMPORT_PROBE = """
-import json, sys
+import ctypes, json, sys
 import numpy as np
 import masspcg, masspcg.cli
 from masspcg import GridSpec, apply_mass, operators
 lazy = ("masspcg._native", "masspcg._sweeps")
 at_import = [m for m in lazy if m in sys.modules]
 apply_mass(GridSpec(2, 4), np.ones(16))
-print(json.dumps({"at_import": at_import, "compiled": bool(operators._kernels),
+print(json.dumps({"at_import": at_import, "compiled": isinstance(operators._kernels, ctypes.CDLL),
                   "sweeps_after_call": "masspcg._sweeps" in sys.modules}))
 """
 
