@@ -7,10 +7,13 @@
  * reference is the whole-array numpy stencils of tests/oracle.py and the
  * numpy expressions x + p*alpha, r - Ap*alpha and p*beta + z. Every element
  * gets the same floating-point operations in the same order as those, so the
- * results are bit-identical: a missing Dirichlet neighbour is skipped, or a
- * zero subtracted, which is exact and keeps -0.0. That holds only without FMA
- * contraction or reassociation, so build with -ffp-contract=off and never with
- * -ffast-math.
+ * results are bit-identical. That holds only without FMA contraction or
+ * reassociation, so build with -ffp-contract=off and never with -ffast-math.
+ *
+ * A missing Dirichlet neighbour is not branched around but read as an
+ * identity: the Laplacian subtracts +0.0 and the mass sweeps add -0.0. Under
+ * round-to-nearest x - (+0.0) and x + (-0.0) are x for every double, -0.0
+ * included, so each sweep is one loop with the numpy path's bits.
  *
  * The grid is viewed as m0 planes of m1 lines of n contiguous values:
  * (1, 1, n) in 1D, (1, n, n) in 2D and (n, n, n) in 3D. The numpy axes map to
@@ -29,50 +32,25 @@
 
 #define LINE 256
 
-/* stands in for a missing neighbour line of a chunk */
+/* The missing neighbour lines of a chunk: +0.0 for the Laplacian, and -0.0
+ * for the mass sweeps, LINE + 2 values to cover a chunk and its two ends. */
 static const double zeros[LINE];
+#define NEG4 -0.0, -0.0, -0.0, -0.0
+#define NEG16 NEG4, NEG4, NEG4, NEG4
+#define NEG64 NEG16, NEG16, NEG16, NEG16
+static const double negzeros[LINE + 2] = {NEG64, NEG64, NEG64, NEG64, -0.0, -0.0};
 
-/* One Laplacian value: diag*x[k] minus the neighbour lines q[0..m), then the
- * +1 and the -1 neighbour along the line where present, divided by h2. */
-static double lap_point(const double *x, const double *const *q, int m, ptrdiff_t k,
-                        int next, int prev, double diag, double h2)
+/* One Laplacian value: diag*x minus the neighbour lines q0..q3 (axis 0 then
+ * axis 1, +1 before -1), then the +1 and -1 neighbours along the line, over
+ * h2. An absent axis passes 0.0, which the compiler folds away. */
+static inline double lap(double diag, double x, double q0, double q1, double q2, double q3,
+                         double next, double prev, double h2)
 {
-    double t = diag * x[k];
-    for (int j = 0; j < m; j++)
-        t -= q[j][k];
-    if (next)
-        t -= x[k + 1];
-    if (prev)
-        t -= x[k - 1];
-    return t / h2;
+    return (diag * x - q0 - q1 - q2 - q3 - next - prev) / h2;
 }
 
-/* Laplacian of len values of one line chunk into buf; next/prev say whether
- * the line goes on past the chunk's last/first value. */
-static void lap_chunk(double *restrict buf, const double *x, const double *const *q, int m,
-                      ptrdiff_t len, int next, int prev, double diag, double h2)
-{
-    ptrdiff_t lo = prev ? 0 : 1, hi = next ? len : len - 1;
-    const double *q0 = q[0], *q1 = q[1], *q2 = q[2], *q3 = q[3];
-    if (m == 4) {
-        for (ptrdiff_t k = lo; k < hi; k++)
-            buf[k] = (diag * x[k] - q0[k] - q1[k] - q2[k] - q3[k] - x[k + 1] - x[k - 1]) / h2;
-    } else if (m == 2) {
-        for (ptrdiff_t k = lo; k < hi; k++)
-            buf[k] = (diag * x[k] - q0[k] - q1[k] - x[k + 1] - x[k - 1]) / h2;
-    } else {
-        for (ptrdiff_t k = lo; k < hi; k++)
-            buf[k] = (diag * x[k] - x[k + 1] - x[k - 1]) / h2;
-    }
-    if (!prev)
-        buf[0] = lap_point(x, q, m, 0, len > 1 || next, 0, diag, h2);
-    if (!next && (len > 1 || prev))
-        buf[len - 1] = lap_point(x, q, m, len - 1, 0, 1, diag, h2);
-}
-
-/* out = A_d u: diag*u minus the axis-0, axis-1, ... neighbours (+1 before -1
- * on each axis), divided by h2. diag = 2d and h2 = h**2 come from the caller,
- * computed as the numpy path computes them. */
+/* out = A_d u. diag = 2d and h2 = h**2 come from the caller, computed as the
+ * numpy path computes them. */
 void masspcg_laplacian(int64_t d, int64_t n, const double *restrict u, double *restrict out,
                        double diag, double h2)
 {
@@ -80,104 +58,82 @@ void masspcg_laplacian(int64_t d, int64_t n, const double *restrict u, double *r
     double buf[LINE];
     for (ptrdiff_t i0 = 0; i0 < m0; i0++) {
         for (ptrdiff_t i1 = 0; i1 < m1; i1++) {
-            ptrdiff_t start = i0 * plane + i1 * n;
-            const double *x = u + start;
-            const double *nb[4] = {NULL, NULL, NULL, NULL};
-            int m = 0;
-            if (d == 3) {
-                nb[m++] = i0 + 1 < n ? x + plane : NULL;
-                nb[m++] = i0 > 0 ? x - plane : NULL;
-            }
-            if (d >= 2) {
-                nb[m++] = i1 + 1 < n ? x + n : NULL;
-                nb[m++] = i1 > 0 ? x - n : NULL;
-            }
             for (ptrdiff_t a = 0; a < n; a += LINE) {
-                ptrdiff_t len = n - a < LINE ? n - a : LINE;
-                const double *q[4] = {zeros, zeros, zeros, zeros};
-                for (int j = 0; j < m; j++)
-                    q[j] = nb[j] ? nb[j] + a : zeros;
-                lap_chunk(buf, x + a, q, m, len, a + len < n, a > 0, diag, h2);
-                memcpy(out + start + a, buf, (size_t)len * sizeof(double));
+                ptrdiff_t len = n - a < LINE ? n - a : LINE, start = i0 * plane + i1 * n + a;
+                const double *x = u + start;
+                const double *q0 = i0 + 1 < m0 ? x + plane : zeros;
+                const double *q1 = i0 > 0 ? x - plane : zeros;
+                const double *q2 = i1 + 1 < m1 ? x + n : zeros, *q3 = i1 > 0 ? x - n : zeros;
+                /* the values whose line neighbours are both in u; then the line ends */
+                ptrdiff_t lo = a == 0, hi = a + len < n ? len : len - 1;
+                if (d == 3)
+                    for (ptrdiff_t k = lo; k < hi; k++)
+                        buf[k] = lap(diag, x[k], q0[k], q1[k], q2[k], q3[k],
+                                     x[k + 1], x[k - 1], h2);
+                else if (d == 2)
+                    for (ptrdiff_t k = lo; k < hi; k++)
+                        buf[k] = lap(diag, x[k], 0.0, 0.0, q2[k], q3[k], x[k + 1], x[k - 1], h2);
+                else
+                    for (ptrdiff_t k = lo; k < hi; k++)
+                        buf[k] = lap(diag, x[k], 0.0, 0.0, 0.0, 0.0, x[k + 1], x[k - 1], h2);
+                if (a == 0)
+                    buf[0] = lap(diag, x[0], q0[0], q1[0], q2[0], q3[0],
+                                 n > 1 ? x[1] : 0.0, 0.0, h2);
+                if (a + len == n)
+                    buf[len - 1] = lap(diag, x[len - 1], q0[len - 1], q1[len - 1], q2[len - 1],
+                                       q3[len - 1], 0.0, n > 1 ? x[len - 2] : 0.0, h2);
+                memcpy(out + start, buf, (size_t)len * sizeof(double));
             }
         }
     }
 }
 
 /* One sweep across lines or planes: dst = ((4*mid + next) + prev) * c over
- * len values, a missing neighbour (NULL) skipped. */
+ * len values. */
 static void mass_across(double *restrict dst, const double *mid, const double *next,
                         const double *prev, ptrdiff_t len, double c)
 {
-    if (next && prev) {
-        for (ptrdiff_t k = 0; k < len; k++)
-            dst[k] = (4.0 * mid[k] + next[k] + prev[k]) * c;
-    } else if (next) {
-        for (ptrdiff_t k = 0; k < len; k++)
-            dst[k] = (4.0 * mid[k] + next[k]) * c;
-    } else if (prev) {
-        for (ptrdiff_t k = 0; k < len; k++)
-            dst[k] = (4.0 * mid[k] + prev[k]) * c;
-    } else {
-        for (ptrdiff_t k = 0; k < len; k++)
-            dst[k] = 4.0 * mid[k] * c;
-    }
+    for (ptrdiff_t k = 0; k < len; k++)
+        dst[k] = (4.0 * mid[k] + next[k] + prev[k]) * c;
 }
 
-/* One mass value along a line, then the dimensional scale s. */
-static double mass_point(const double *x, ptrdiff_t k, int next, int prev, double c, double s)
-{
-    double t = 4.0 * x[k];
-    if (next)
-        t += x[k + 1];
-    if (prev)
-        t += x[k - 1];
-    return t * c * s;
-}
-
-/* The sweep along one line of n values, times s, into dst through the stack
- * buffer. */
-static void mass_line(double *restrict dst, const double *x, ptrdiff_t n, double c, double s)
-{
-    double buf[LINE];
-    for (ptrdiff_t a = 0; a < n; a += LINE) {
-        ptrdiff_t len = n - a < LINE ? n - a : LINE;
-        int next = a + len < n, prev = a > 0;
-        const double *y = x + a;
-        ptrdiff_t lo = prev ? 0 : 1, hi = next ? len : len - 1;
-        for (ptrdiff_t k = lo; k < hi; k++)
-            buf[k] = (4.0 * y[k] + y[k + 1] + y[k - 1]) * c * s;
-        if (!prev)
-            buf[0] = mass_point(y, 0, len > 1 || next, 0, c, s);
-        if (!next && (len > 1 || prev))
-            buf[len - 1] = mass_point(y, len - 1, 0, 1, c, s);
-        memcpy(dst + a, buf, (size_t)len * sizeof(double));
-    }
-}
-
-/* out = M_d u: the sweep across planes into the plane buffer A (3D), across
- * lines into the line buffer B (2D and 3D), then along each line, each sweep
- * rounded to ((4*x + next) + prev) * c, and last times s. c = h/6 and
- * s = h**(2-d) come from the caller. scratch holds n*n + n values in 3D and
- * n in 2D. */
+/* out = M_d u: in 3D the sweep across planes of each axis-0 plane into
+ * scratch, n*n values; then, a line chunk at a time, the sweep across lines
+ * (2D and 3D) into the LINE + 2 buffer y, which holds the chunk and one
+ * neighbour on each side, -0.0 past the line's ends; then the sweep along
+ * the line from y, times s. Each sweep is rounded to ((4*x + next) + prev) * c.
+ * c = h/6 and s = h**(2-d) come from the caller. */
 void masspcg_mass(int64_t d, int64_t n, const double *restrict u, double *restrict out,
                   double c, double s, double *restrict scratch)
 {
     ptrdiff_t m0 = d == 3 ? n : 1, m1 = d >= 2 ? n : 1, plane = m1 * n;
-    double *A = scratch, *B = scratch + (d == 3 ? plane : 0);
+    double y[LINE + 2], buf[LINE];
     for (ptrdiff_t i0 = 0; i0 < m0; i0++) {
         const double *P = u + i0 * plane;
         if (d == 3) {
-            mass_across(A, P, i0 + 1 < n ? P + plane : NULL, i0 > 0 ? P - plane : NULL, plane, c);
-            P = A;
+            for (ptrdiff_t a = 0; a < plane; a += LINE) {
+                ptrdiff_t len = plane - a < LINE ? plane - a : LINE;
+                mass_across(scratch + a, P + a, i0 + 1 < n ? P + plane + a : negzeros,
+                            i0 > 0 ? P - plane + a : negzeros, len, c);
+            }
+            P = scratch;
         }
         for (ptrdiff_t i1 = 0; i1 < m1; i1++) {
             const double *x = P + i1 * n;
-            if (d >= 2) {
-                mass_across(B, x, i1 + 1 < n ? x + n : NULL, i1 > 0 ? x - n : NULL, n, c);
-                x = B;
+            for (ptrdiff_t a = 0; a < n; a += LINE) {
+                ptrdiff_t len = n - a < LINE ? n - a : LINE;
+                /* y[j] stands for line value a - 1 + j; lo..hi are in the line */
+                ptrdiff_t lo = a > 0 ? a - 1 : a, hi = a + len < n ? a + len + 1 : n;
+                y[0] = y[len + 1] = -0.0;
+                if (d >= 2)
+                    mass_across(y + 1 + lo - a, x + lo, i1 + 1 < n ? x + n + lo : negzeros,
+                                i1 > 0 ? x - n + lo : negzeros, hi - lo, c);
+                else
+                    memcpy(y + 1 + lo - a, x + lo, (size_t)(hi - lo) * sizeof(double));
+                for (ptrdiff_t k = 0; k < len; k++)
+                    buf[k] = (4.0 * y[k + 1] + y[k + 2] + y[k]) * c * s;
+                memcpy(out + i0 * plane + i1 * n + a, buf, (size_t)len * sizeof(double));
             }
-            mass_line(out + i0 * plane + i1 * n, x, n, c, s);
         }
     }
 }

@@ -47,11 +47,11 @@ def mass(d: int, n: int, u: np.ndarray, out: np.ndarray, c: float, s: float,
          scratch: np.ndarray) -> None:
     """``out = M_d u``: the axis-0 sweep from ``u`` into ``out``, then the
     sweeps along the other axes one axis-0 plane at a time, each through the
-    first ``n**(d-1)`` values of ``scratch`` and copied back, then ``out *= s``."""
+    ``n**(d-1)`` values of ``scratch`` and copied back, then ``out *= s``."""
     w = out.reshape((n,) * d)
     _sweep(u.reshape(w.shape), w, 0, c)
     if d > 1:
-        buffer = scratch[: n ** (d - 1)].reshape(w.shape[1:])
+        buffer = scratch.reshape(w.shape[1:])
         for plane in w:
             for axis in range(d - 1):
                 _sweep(plane, buffer, axis, c)

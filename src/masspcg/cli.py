@@ -5,8 +5,8 @@ and CG residual histories as CSV or markdown, to a file or stdout. Identical
 flags give byte-identical output. Solve-backed commands stop at the relative
 threshold ||r|| < tol * ||b||.
 
-Exit codes: 0 success, 1 usage error, 2 non-convergence or solver breakdown,
-3 resource cap exceeded.
+Exit codes: 0 success, 1 usage or output error, 2 non-convergence or solver
+breakdown, 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -236,7 +236,8 @@ def main(argv=None) -> int:
         return args.handler(args)
     except SystemExit as exc:  # --help exits through argparse
         return exc.code if isinstance(exc.code, int) else EXIT_OK
-    except (_UsageError, ValueError, SpectrumCapError, SolveMemoryError, NumericalBreakdownError) as exc:
+    except (_UsageError, ValueError, OSError, SpectrumCapError, SolveMemoryError,
+            NumericalBreakdownError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (SpectrumCapError, SolveMemoryError)):
             return EXIT_RESOURCE

@@ -7,6 +7,7 @@ length ``n**d`` in lexicographic (axis-major, C-order) ordering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,5 +73,5 @@ def dot(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def norm2(u: np.ndarray) -> float:
-    """Euclidean 2-norm, sqrt(dot(u, u))."""
-    return float(np.linalg.norm(np.asarray(u, dtype=np.float64)))
+    """Euclidean 2-norm of a flat vector, sqrt(dot(u, u)), as the solver takes it."""
+    return math.sqrt(dot(u, u))

@@ -119,15 +119,15 @@ def apply_mass(spec: GridSpec, u: np.ndarray, out: np.ndarray | None = None) -> 
 
     Implemented as d successive 1D tridiagonal sweeps with weights
     ``(h/6)*(1, 4, 1)``, one along each axis, times the dimensional scale
-    ``h**(2-d)``. The compiled kernel sweeps each axis-0 plane into a plane
-    buffer and each line across it into a line buffer. ``out`` is as in
-    :func:`apply_laplacian`.
+    ``h**(2-d)``. The compiled kernel sweeps each axis-0 plane into scratch
+    in 3D, then each line chunk across lines into a stack buffer and along
+    it. ``out`` is as in :func:`apply_laplacian`.
     """
     u, out = _operands(spec, u, out)
     d, n, h = spec.d, spec.n, spec.h
-    # the compiled kernel's plane buffer in 3D and line buffer in 2D and 3D;
-    # the numpy sweeps take the first n**(d-1) values as one axis-0 plane
-    scratch = np.empty({1: 1, 2: n, 3: n * n + n}[d])
+    # one axis-0 plane for both backends: the compiled kernel's across-planes
+    # sweep in 3D, and the plane the numpy sweeps go through
+    scratch = np.empty(n ** (d - 1))
     _backend().mass(d, n, u, out, h / 6.0, h ** (2 - d), scratch)
     return out
 

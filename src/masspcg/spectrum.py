@@ -40,8 +40,8 @@ import numpy as np
 from .grid import GridSpec
 from .operators import OperatorKind
 
-#: Default cap on full-spectrum enumeration size (number of eigenvalues).
-DEFAULT_SPECTRUM_CAP = 2**20
+#: Cap on full-spectrum enumeration size (number of eigenvalues).
+SPECTRUM_CAP = 2**20
 
 #: Relative tolerance at which the closed form counts as agreeing with the scan.
 CLOSED_FORM_RTOL = 1e-12
@@ -167,15 +167,13 @@ def eigenvalue(kind: OperatorKind, spec: GridSpec, k) -> float:
     return float(_eigenvalues(kind, spec, list(c)))
 
 
-def full_spectrum(
-    kind: OperatorKind, spec: GridSpec, cap: int = DEFAULT_SPECTRUM_CAP
-) -> np.ndarray:
+def full_spectrum(kind: OperatorKind, spec: GridSpec) -> np.ndarray:
     """All ``n**d`` eigenvalues in ascending order.
 
-    Raises SpectrumCapError when ``n**d`` exceeds ``cap``.
+    Raises SpectrumCapError when ``n**d`` exceeds ``SPECTRUM_CAP``.
     """
-    if spec.size > cap:
-        raise SpectrumCapError(required=spec.size, allowed=cap)
+    if spec.size > SPECTRUM_CAP:
+        raise SpectrumCapError(required=spec.size, allowed=SPECTRUM_CAP)
     cosines = np.meshgrid(*([axis_cosines(spec)] * spec.d), indexing="ij", sparse=True)
     return np.sort(_eigenvalues(kind, spec, cosines).reshape(-1))
 

@@ -249,6 +249,22 @@ def test_figures_non_convergence_exit_code(tmp_path, capsys, monkeypatch):
     assert len(list(outdir.iterdir())) == 4
 
 
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    # a path that cannot be written ends in exit code 1 and one error line,
+    # never in a traceback
+    missing = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "table1", "--n", "4", "--out", str(missing))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and "x.csv" in err
+    existing = tmp_path / "file"
+    existing.write_text("kept")
+    code, out, err = run_cli(capsys, "figures", "--out", str(existing))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and str(existing) in err
+    assert existing.read_text() == "kept"
+    assert not missing.parent.exists()
+
+
 def test_file_output_is_byte_identical(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -206,10 +206,11 @@ def test_bad_out_rejected(apply):
 
 # The compiled stencils and the numpy sweeps they fall back to must both give
 # the reference bits. Lines longer than the kernel's 256-value line buffer
-# (n > 256) are split into chunks, so the grids cross chunk edges too.
+# (n > 256) are split into chunks, so the grids cross chunk edges too, with a
+# line ending at, just past or two past a chunk edge.
 BITWISE_SPECS = (
-    [GridSpec(1, n) for n in (1, 2, 3, 7, 255, 256, 257, 1000, 65537)]
-    + [GridSpec(2, n) for n in (1, 2, 3, 5, 257, 513)]
+    [GridSpec(1, n) for n in (1, 2, 3, 7, 255, 256, 257, 258, 512, 513, 1000, 65537)]
+    + [GridSpec(2, n) for n in (1, 2, 3, 5, 256, 257, 258, 513)]
     + [GridSpec(3, n) for n in (1, 2, 3, 5, 17, 97, 128, 130, 300)]
 )
 
@@ -376,7 +377,7 @@ def test_fallback_allocates_no_vector_sized_temporary(spec):
     rng = np.random.default_rng(spec.n)
     x, r, p, Ap = (rng.standard_normal(spec.size) for _ in range(4))
     d, n, h, size = spec.d, spec.n, spec.h, spec.size
-    scratch = np.empty(n * n + n)  # the size of the mass scratch of operators in 3D
+    scratch = np.empty(n ** (d - 1))  # the mass scratch of operators: one axis-0 plane
     calls = {
         "laplacian": lambda: sweeps.laplacian(d, n, x, r, 2.0 * d, h**2),
         "mass": lambda: sweeps.mass(d, n, x, r, h / 6.0, h ** (2 - d), scratch),

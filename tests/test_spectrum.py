@@ -84,9 +84,10 @@ def test_eigenvalue_cosines_equal_axis_cosines(n):
                 assert eigenvalue(kind, spec, k) == expected
 
 
-def test_full_spectrum_cap():
+def test_full_spectrum_cap(monkeypatch):
+    monkeypatch.setattr(spectrum, "SPECTRUM_CAP", 50)
     with pytest.raises(SpectrumCapError) as info:
-        full_spectrum(OperatorKind.LAPLACIAN, GridSpec(1, 100), cap=50)
+        full_spectrum(OperatorKind.LAPLACIAN, GridSpec(1, 100))
     assert info.value.required == 100
     assert info.value.allowed == 50
 

@@ -32,6 +32,19 @@ def test_stencil_source_ships_with_the_package():
     assert (importlib.resources.files("masspcg") / "_stencils.c").is_file()
 
 
+def test_kernel_source_builds_without_warnings(tmp_path):
+    # the kernel is built by whichever C compiler a host has, so it stays
+    # warning-free standard C: a compiler without some GNU extension would
+    # fail the build, and the numpy fallback would serve without a word
+    command = native.compiler()
+    if command is None:
+        pytest.skip("no C compiler on PATH")
+    result = subprocess.run([*command, *native.CFLAGS, "-std=c99", "-pedantic", "-Wall", "-Wextra",
+                             "-Werror", "-o", str(tmp_path / "_stencils.so"), str(native.SOURCE)],
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+
+
 def test_every_exported_kernel_is_declared():
     # ctypes passes undeclared arguments as C ints: a kernel added to the
     # source without an entry in the declaration table must fail here, not
