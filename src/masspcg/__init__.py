@@ -2,7 +2,7 @@
 spectra, and conjugate gradients with multiply-only mass preconditioning."""
 
 from .grid import DimensionMismatchError, GridSpec, dot, norm2
-from .operators import OperatorKind, apply_laplacian, apply_mass
+from .operators import apply_laplacian, apply_mass
 from .solver import (
     NumericalBreakdownError,
     SolveConfig,
@@ -12,6 +12,7 @@ from .solver import (
 from .spectrum import (
     ASYMPTOTIC_RATIO_LIMIT,
     ClosedFormCheck,
+    OperatorKind,
     RatioReport,
     SpectrumCapError,
     SpectrumReport,

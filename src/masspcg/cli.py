@@ -15,6 +15,7 @@ import argparse
 import os
 import sys
 
+from . import experiments
 from .experiments import (
     CONDITION_HEADERS,
     DEFAULT_SEED,
@@ -29,7 +30,6 @@ from .experiments import (
     TABLE2_CASES,
     check_solve_memory,
     condition_cells,
-    figure_datasets,
     iteration_cells,
     render_table,
     residual_cells,
@@ -40,19 +40,13 @@ from .experiments import (
     write_text,
 )
 from .grid import GridSpec
-from .operators import OperatorKind
 from .solver import PRECONDITION_KINDS, NumericalBreakdownError
-from .spectrum import SpectrumCapError
+from .spectrum import OperatorKind, SpectrumCapError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_RESOURCE = 3
-
-_KINDS = {kind.value: kind for kind in OperatorKind}
-
-#: Cases at or above this many unknowns get a time note before solving.
-_BIG_SOLVE = 1 << 20
 
 
 class _UsageError(Exception):
@@ -79,8 +73,18 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _output_file(text: str) -> str:
+    # checked at parse time, so no command computes a result it cannot write
+    directory = os.path.dirname(text) or os.curdir
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"cannot write {text}: it is a directory")
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        raise argparse.ArgumentTypeError(f"cannot write {text}: {directory} is not a writable directory")
+    return text
+
+
 def _add_output_flags(p: argparse.ArgumentParser):
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
+    p.add_argument("--out", type=_output_file, default=None, help="output path (default: stdout)")
     p.add_argument("--format", choices=FORMATS, default="csv", help="table format (default: csv)")
 
 
@@ -102,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--n", type=_positive_int, action="append", required=True,
                    help="grid size per axis")
-    p.add_argument("--kind", choices=sorted(_KINDS), required=True)
+    p.add_argument("--kind", choices=sorted(k.value for k in OperatorKind), required=True)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_spectrum)
 
@@ -156,9 +160,17 @@ def _note(message: str):
     print(message, file=sys.stderr)
 
 
+def _unconverged(label: str, converged: bool, iterations: int) -> int:
+    if converged:
+        return EXIT_OK
+    message = f"no convergence within {iterations} iterations"
+    _note(f"{label}: {message}" if label else message)
+    return EXIT_NO_CONVERGENCE
+
+
 def _cmd_spectrum(args) -> int:
     spec = GridSpec(args.dim, _single_n(args.n))
-    cells = spectrum_cells(_KINDS[args.kind], spec)
+    cells = spectrum_cells(OperatorKind(args.kind), spec)
     write_text(render_table(SPECTRUM_HEADERS, cells, args.format), args.out)
     return EXIT_OK
 
@@ -178,9 +190,7 @@ def _cmd_solve(args) -> int:
     write_text(render_table(RESIDUAL_HEADERS, residual_cells(report), args.format), args.out)
     if report.converged:
         _note(f"converged in {report.iterations} iterations")
-        return EXIT_OK
-    _note(f"no convergence within {report.iterations} iterations")
-    return EXIT_NO_CONVERGENCE
+    return _unconverged("", report.converged, report.iterations)
 
 
 def _table2_cases(args):
@@ -199,35 +209,38 @@ def _cmd_table2(args) -> int:
     # holds the most work vectors
     for d, n in cases:
         check_solve_memory(GridSpec(d, n), "mass")
-    for d, n in cases:
-        if n**d >= _BIG_SOLVE:
-            _note(f"note: d={d} n={n} solves {n**d} unknowns; "
-                  "expect this cell to run for a minute or so")
     rows = table2_rows(cases, tol=args.tol, rhs=args.rhs, seed=args.seed, progress=_note)
     write_text(render_table(ITERATION_HEADERS, iteration_cells(rows), args.format), args.out)
-    code = EXIT_OK
-    for r in rows:
-        for precond, iterations, converged in (("none", r.iterations, r.converged),
-                                               ("mass", r.iterations_mass, r.converged_mass)):
-            if not converged:
-                _note(f"d={r.d} n={r.n} precond={precond}: no convergence within {iterations} iterations")
-                code = EXIT_NO_CONVERGENCE
-    return code
+    codes = [_unconverged(f"d={r.d} n={r.n} precond={precond}", converged, iterations)
+             for r in rows
+             for precond, iterations, converged in (("none", r.iterations, r.converged),
+                                                    ("mass", r.iterations_mass, r.converged_mass))]
+    return max(codes)
 
 
 def _cmd_figures(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     extension = "csv" if args.format == "csv" else "md"
-    code = EXIT_OK
-    for name, headers, cells, report in figure_datasets(tol=args.tol, rhs=args.rhs,
-                                                        seed=args.seed, progress=_note):
+
+    def write(name, headers, cells):
         path = os.path.join(args.out, f"{name}.{extension}")
         write_text(render_table(headers, cells, args.format), path)
         _note(f"wrote {path}")
-        if report is not None and not report.converged:
-            _note(f"{name}: no convergence within {report.iterations} iterations")
-            code = EXIT_NO_CONVERGENCE
-    return code
+
+    for d, n in experiments.FIGURE_SPECTRUM_CASES:
+        for kind in (OperatorKind.LAPLACIAN, OperatorKind.PRECONDITIONED):
+            _note(f"spectrum {kind.value} d={d} n={n}")
+            write(f"spectrum_{kind.value}_{d}d_n{n}", SPECTRUM_HEADERS, spectrum_cells(kind, GridSpec(d, n)))
+    codes = [EXIT_OK]
+    for d, n in experiments.FIGURE_RESIDUAL_CASES:
+        for precond in PRECONDITION_KINDS:
+            _note(f"residual history d={d} n={n} precond={precond}")
+            report = run_solve(GridSpec(d, n), tol=args.tol, precondition=precond,
+                               rhs=args.rhs, seed=args.seed)
+            name = f"residuals_{d}d_n{n}_{precond}"
+            write(name, RESIDUAL_HEADERS, residual_cells(report))
+            codes.append(_unconverged(name, report.converged, report.iterations))
+    return max(codes)
 
 
 def main(argv=None) -> int:

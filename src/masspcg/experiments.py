@@ -23,10 +23,10 @@ import sys
 import numpy as np
 
 from .grid import GridSpec, norm2
-from .operators import OperatorKind
 from .solver import WORK_VECTORS, SolveConfig, SolveReport, cg_solve
 from .spectrum import (
     ASYMPTOTIC_RATIO_LIMIT,
+    OperatorKind,
     RatioReport,
     full_spectrum,
     ratio_report,
@@ -266,45 +266,3 @@ def write_text(text: str, path: str | None):
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write(text)
-
-
-def figure_datasets(
-    *,
-    tol: float = DEFAULT_TOL,
-    rhs: str = "ones",
-    seed: int = DEFAULT_SEED,
-    progress=None,
-):
-    """Yield (basename, headers, cells, report) for every figure dataset.
-
-    Spectrum files carry the sorted eigenvalues of the plain and the
-    mass-preconditioned operator on the same grid (``report`` is None);
-    residual files carry one convergence history per preconditioning variant
-    (``report`` is its SolveReport).
-    """
-    for d, n in FIGURE_SPECTRUM_CASES:
-        spec = GridSpec(d, n)
-        for kind, tag in (
-            (OperatorKind.LAPLACIAN, "laplacian"),
-            (OperatorKind.PRECONDITIONED, "preconditioned"),
-        ):
-            if progress is not None:
-                progress(f"spectrum {tag} d={d} n={n}")
-            yield (
-                f"spectrum_{tag}_{d}d_n{n}",
-                SPECTRUM_HEADERS,
-                spectrum_cells(kind, spec),
-                None,
-            )
-    for d, n in FIGURE_RESIDUAL_CASES:
-        spec = GridSpec(d, n)
-        for precondition in ("none", "mass"):
-            if progress is not None:
-                progress(f"residual history d={d} n={n} precond={precondition}")
-            report = run_solve(spec, tol=tol, precondition=precondition, rhs=rhs, seed=seed)
-            yield (
-                f"residuals_{d}d_n{n}_{precondition}",
-                RESIDUAL_HEADERS,
-                residual_cells(report),
-                report,
-            )

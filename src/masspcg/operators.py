@@ -27,19 +27,9 @@ reference. Nothing is compiled, loaded or parsed for either at import.
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
 from .grid import DimensionMismatchError, GridSpec, check_vector
-
-
-class OperatorKind(enum.Enum):
-    """Which grid operator an operation refers to."""
-
-    LAPLACIAN = "laplacian"
-    MASS = "mass"
-    PRECONDITIONED = "preconditioned"
 
 
 # The kernel table that serves every call: None until the first kernel call,

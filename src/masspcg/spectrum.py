@@ -30,6 +30,7 @@ maximum.
 
 from __future__ import annotations
 
+import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +39,6 @@ from math import acos, pi, sqrt
 import numpy as np
 
 from .grid import GridSpec
-from .operators import OperatorKind
 
 #: Cap on full-spectrum enumeration size (number of eigenvalues).
 SPECTRUM_CAP = 2**20
@@ -58,6 +58,14 @@ SCAN_CAP = 2**24
 
 # Block size (in frequency tuples) of the vertex scan; fixed for determinism.
 _SCAN_CHUNK = 1 << 22
+
+
+class OperatorKind(enum.Enum):
+    """Which grid operator an operation refers to."""
+
+    LAPLACIAN = "laplacian"
+    MASS = "mass"
+    PRECONDITIONED = "preconditioned"
 
 
 class SpectrumCapError(RuntimeError):
@@ -122,10 +130,15 @@ class RatioReport:
     asymptotic_limit: float
 
 
+def _cosines(spec: GridSpec, k: np.ndarray) -> np.ndarray:
+    """cos(pi*h*k) for integer frequency indices ``k``: the one formula, so
+    the scan, the full spectrum and :func:`eigenvalue` agree bit for bit."""
+    return np.cos(pi * spec.h * k)
+
+
 def axis_cosines(spec: GridSpec) -> np.ndarray:
     """cos(pi*h*k) for k = 1..n (strictly decreasing in k)."""
-    k = np.arange(1, spec.n + 1)
-    return np.cos(pi * spec.h * k)
+    return _cosines(spec, np.arange(1, spec.n + 1))
 
 
 def _check_indices(spec: GridSpec, k) -> tuple[int, ...]:
@@ -162,8 +175,7 @@ def eigenvalue(kind: OperatorKind, spec: GridSpec, k) -> float:
 
     Each ``k_j`` must lie in ``{1..n}``; raises ValueError otherwise.
     """
-    # the same cosines as axis_cosines gives, computed for these indices only
-    c = np.cos(pi * spec.h * np.array(_check_indices(spec, k)))
+    c = _cosines(spec, np.array(_check_indices(spec, k)))
     return float(_eigenvalues(kind, spec, list(c)))
 
 
@@ -193,9 +205,9 @@ def _preconditioned_max(spec: GridSpec) -> tuple[int, ...]:
     n, d, top = spec.n, spec.d, spec.n
     if d == 1:
         # the one scan needs only the cosines around the vertex -1/2, at
-        # k = 2/(3h); eigenvalue's formula gives them bit for bit
+        # k = 2/(3h)
         top = min(n, int(2.0 / (3.0 * spec.h)) + 4)
-        cs = np.cos(pi * spec.h * np.arange(top, max(top - 8, 0), -1))
+        cs = _cosines(spec, np.arange(top, max(top - 8, 0), -1))
     else:
         cs = axis_cosines(spec)[::-1]
     # ascending: position i holds k = top - i

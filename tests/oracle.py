@@ -26,7 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from masspcg.grid import GridSpec
-from masspcg.operators import OperatorKind, apply_laplacian, apply_mass
+from masspcg.operators import apply_laplacian, apply_mass
+from masspcg.spectrum import OperatorKind
 
 #: Largest dense system assembled (rows = n**d).
 DENSE_SIZE_CAP = 4096

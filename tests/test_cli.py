@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+import masspcg.cli as cli
 import masspcg.experiments as experiments
 from masspcg.cli import EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 
@@ -263,6 +264,31 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and str(existing) in err
     assert existing.read_text() == "kept"
     assert not missing.parent.exists()
+
+
+OUTPUT_COMMANDS = [
+    ("spectrum", "--dim", "1", "--n", "4", "--kind", "mass"),
+    ("condition", "--dim", "1", "--n", "4"),
+    ("table1", "--n", "4"),
+    ("solve", "--dim", "1", "--n", "4"),
+    ("table2", "--dim", "3", "--n", "64"),
+]
+UNWRITABLE = [(argv, "missing/x.csv") for argv in OUTPUT_COMMANDS] + [(OUTPUT_COMMANDS[-1], ".")]
+
+
+@pytest.mark.parametrize("argv, out", UNWRITABLE, ids=[f"{argv[0]} {out}" for argv, out in UNWRITABLE])
+def test_unwritable_output_fails_before_any_work(argv, out, tmp_path, capsys, monkeypatch):
+    # a missing directory, or a path that is a directory, is refused while
+    # the flags are parsed: no note is printed and nothing is computed
+    def started(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("run_solve", "table2_rows", "table1_rows", "spectrum_cells"):
+        monkeypatch.setattr(cli, name, started)
+    target = str(tmp_path / out)
+    code, stdout, err = run_cli(capsys, *argv, "--out", target)
+    assert (code, stdout) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and target in err
 
 
 def test_file_output_is_byte_identical(tmp_path, capsys):

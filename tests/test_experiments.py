@@ -22,7 +22,7 @@ from masspcg.experiments import (
     table1_rows,
     write_text,
 )
-from masspcg.operators import OperatorKind
+from masspcg.spectrum import OperatorKind
 
 
 def test_rhs_ones():

@@ -1,6 +1,7 @@
 """The benchmark's own self-test runs against the current package, and the
 package carries what it needs at run time."""
 
+import ast
 import importlib.resources
 import inspect
 import json
@@ -24,6 +25,21 @@ def test_benchmark_self_test_passes():
     result = subprocess.run([sys.executable, "benchmarks/run.py", "--self-test"], cwd=ROOT,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+@pytest.mark.parametrize("module", ["grid.py", "spectrum.py"])
+def test_closed_form_layers_import_no_kernel_or_solver(module):
+    # grid geometry and the closed-form spectra stand below the stencils and
+    # the solver: they import neither, nor the kernel backends
+    tree = ast.parse((ROOT / "src" / "masspcg" / module).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    leaves = {name.rsplit(".", 1)[-1] for name in imported}
+    assert not leaves & {"operators", "solver", "_native", "_sweeps"}, module
 
 
 def test_stencil_source_ships_with_the_package():
