@@ -2,8 +2,8 @@
 mass stencils and the two CG vector updates.
 
 The loaded library is one implementation of the kernel table of
-``SIGNATURES``; ``_sweeps`` is the other, with the same names and arguments.
-``operators`` imports this module on the first kernel call, never at
+``SIGNATURES``; ``_sweeps`` is the other, with the same names, arguments and
+``bind``. ``operators`` imports this module on the first kernel call, never at
 import, so a fresh ``import masspcg`` does not even parse it. The library is
 built once per source, compiler, flags and platform, and cached as
 ``__pycache__/_stencils-<sha256>.so`` beside the source, where a build
@@ -29,6 +29,10 @@ from pathlib import Path
 CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 SOURCE = Path(__file__).with_name("_stencils.c")
+
+#: What no compiler, a failed build, or a library that will not load or lacks
+#: a symbol raise; ``operators`` then takes the numpy sweeps, silently.
+LOAD_ERRORS = (OSError, subprocess.SubprocessError, AttributeError)
 
 
 def compiler() -> list[str] | None:
@@ -62,16 +66,21 @@ def build(command: list[str], target: Path) -> Path:
     return target
 
 
-class Vector:
+class Vector(ctypes.c_void_p):
     """ctypes argument type of a vector: its data pointer as a ``c_void_p``
-    (a plain int would pass as a 32-bit C int). ``operators`` checks dtype,
-    layout and length first: ndpointer's checks and conversion took about
-    5 us per vector per call on a 2-vCPU Xeon VM, more than a whole update
-    of 1,024 values."""
+    (a plain int would pass as a 32-bit C int); a ``Vector(v)``, made once
+    per solve by ``bind``, passes as it is and keeps ``v`` alive. ``operators``
+    checks dtype, layout and length first: ndpointer's checks and conversion
+    took about 5 us per vector per call on a 2-vCPU Xeon VM, more than a
+    whole update of 1,024 values."""
+
+    def __init__(self, v):
+        super().__init__(v.ctypes.data)
+        self.vector = v
 
     @classmethod
     def from_param(cls, v):
-        return ctypes.c_void_p(v.ctypes.data)
+        return v if isinstance(v, cls) else ctypes.c_void_p(v.ctypes.data)
 
 
 #: The kernel table: argument types of every kernel, which ``_stencils.c``
@@ -94,6 +103,7 @@ def open_library(path: Path) -> ctypes.CDLL:
         function.argtypes = argtypes
         function.restype = None
         setattr(lib, name, function)
+    lib.bind = lambda *vectors: tuple(map(Vector, vectors))
     return lib
 
 
@@ -119,14 +129,3 @@ def load_library() -> ctypes.CDLL:
                 return open_library(build(command, Path(private) / target.name))
     return open_library(target)
 
-
-def load() -> ctypes.CDLL | None:
-    """The library, or None when it cannot be built or loaded.
-
-    No compiler, a failed build, or a library that will not load or lacks a
-    symbol all give None, silently: the numpy sweeps serve instead.
-    """
-    try:
-        return load_library()
-    except (OSError, subprocess.SubprocessError, AttributeError):
-        return None

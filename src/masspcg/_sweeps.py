@@ -3,8 +3,8 @@ of ``_stencils.c`` cannot be built or loaded. It is the other implementation
 of the kernel table of ``_native.SIGNATURES``: the same names, and the same
 arguments, scalars and scratch, all computed by ``operators``. Like the
 compiled kernels it gives the bits of the bitwise reference, the whole-array
-stencils of ``tests/oracle.py``, and it allocates no vector-sized temporary,
-which ``solver.WORK_VECTORS`` would miss.
+stencils of ``tests/oracle.py``. Its one temporary, of :func:`cg_update`, is
+``CHUNK`` values or the whole vector when shorter, which is not a work vector.
 """
 
 from __future__ import annotations
@@ -74,3 +74,8 @@ def p_update(size: int, p: np.ndarray, z: np.ndarray, beta: float) -> None:
     """``p = p*beta + z`` over ``size`` entries."""
     p *= beta
     p += z
+
+
+def bind(*vectors) -> tuple:
+    """The vectors as arguments of these kernels: the arrays themselves."""
+    return vectors

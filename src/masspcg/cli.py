@@ -205,10 +205,9 @@ def _table2_cases(args):
 
 def _cmd_table2(args) -> int:
     cases = _table2_cases(args)
-    # refuse an oversized cell before any note or solve; a row's mass solve
-    # holds the most work vectors
+    # refuse an oversized cell before any note or solve
     for d, n in cases:
-        check_solve_memory(GridSpec(d, n), "mass")
+        check_solve_memory(GridSpec(d, n))
     rows = table2_rows(cases, tol=args.tol, rhs=args.rhs, seed=args.seed, progress=_note)
     write_text(render_table(ITERATION_HEADERS, iteration_cells(rows), args.format), args.out)
     codes = [_unconverged(f"d={r.d} n={r.n} precond={precond}", converged, iterations)
@@ -219,6 +218,9 @@ def _cmd_table2(args) -> int:
 
 
 def _cmd_figures(args) -> int:
+    # refuse an oversized case before any note, directory or file
+    for d, n in experiments.FIGURE_RESIDUAL_CASES:
+        check_solve_memory(GridSpec(d, n))
     os.makedirs(args.out, exist_ok=True)
     extension = "csv" if args.format == "csv" else "md"
 

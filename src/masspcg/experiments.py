@@ -83,10 +83,9 @@ class SolveMemoryError(RuntimeError):
     """A solve's work vectors would not fit in physical memory."""
 
 
-def check_solve_memory(spec: GridSpec, precondition: str):
-    """Raise SolveMemoryError when the solve's work vectors exceed physical memory."""
-    # an unknown precondition kind counts 0 here; SolveConfig rejects it later
-    needed = WORK_VECTORS.get(precondition, 0) * 8 * spec.size
+def check_solve_memory(spec: GridSpec):
+    """Raise SolveMemoryError when a solve's work vectors exceed physical memory."""
+    needed = WORK_VECTORS * 8 * spec.size
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if needed > physical:
         raise SolveMemoryError(
@@ -109,7 +108,7 @@ def run_solve(
     Raises SolveMemoryError, before allocating anything, when the solve's
     work vectors would exceed physical memory.
     """
-    check_solve_memory(spec, precondition)
+    check_solve_memory(spec)
     b = make_rhs(spec, rhs, seed)
     config = SolveConfig(
         tol=tol * norm2(b),

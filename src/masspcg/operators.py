@@ -14,18 +14,20 @@ Scaling conventions on the unit domain with ``h = 1/(n+1)``:
   (i.e. ``h**(2-d)`` overall).
 * Preconditioned: mass applied after the Laplacian.
 
-The first call to a stencil or to a CG update (:func:`cg_update`,
-:func:`p_update`) compiles ``_stencils.c`` with the system C compiler and
-loads it through ctypes; later calls and processes reuse the cached library.
-Without a compiler, or when the build or load fails, the numpy fallback of
-``_sweeps`` serves. The two are one kernel table with the same names and
-arguments (``_native.SIGNATURES``): each operator checks its operands,
-computes the rounded scalars and the scratch once, and makes one call to
-whichever serves. Both give the bits of ``tests/oracle.py``, the bitwise
-reference. Nothing is compiled, loaded or parsed for either at import.
+The first call to a stencil or to :func:`bind_updates` compiles
+``_stencils.c`` with the system C compiler and loads it through ctypes; later
+calls and processes reuse the cached library. Without a compiler, or when the
+build or load fails, the numpy fallback of ``_sweeps`` serves. The two are one
+kernel table with the same names and arguments (``_native.SIGNATURES``): each
+operator checks its operands, computes the rounded scalars and the scratch
+once, and makes one call to whichever serves; the CG updates are bound once
+per solve. Both give the bits of ``tests/oracle.py``, the bitwise reference.
+Nothing is compiled, loaded or parsed for either at import.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -46,8 +48,9 @@ def _backend():
         # anything, nor even parses the build code or the fallback
         from . import _native
 
-        _kernels = _native.load()
-        if _kernels is None:
+        try:
+            _kernels = _native.load_library()
+        except _native.LOAD_ERRORS:
             from . import _sweeps
 
             _kernels = _sweeps
@@ -122,18 +125,18 @@ def apply_mass(spec: GridSpec, u: np.ndarray, out: np.ndarray | None = None) -> 
     return out
 
 
-def cg_update(x: np.ndarray, r: np.ndarray, p: np.ndarray, Ap: np.ndarray, alpha: float) -> None:
-    """The CG step ``x += p*alpha`` and ``r -= Ap*alpha``, in place.
-
-    All four are flat contiguous float64 vectors of one length, and x and r
-    share no memory with the others.
-    """
-    _check_buffers(x.size, (x, r), (p, Ap))
-    _backend().cg_update(x.size, x, r, p, Ap, alpha)
-
-
-def p_update(p: np.ndarray, z: np.ndarray, beta: float) -> None:
-    """The new search direction ``p = p*beta + z``, in place; as :func:`cg_update`."""
-    _check_buffers(p.size, (p,), (z,))
-    _backend().p_update(p.size, p, z, beta)
-
+def bind_updates(x: np.ndarray, r: np.ndarray, p: np.ndarray, Ap: np.ndarray, z: np.ndarray):
+    """The CG updates of one solve, their operands checked and converted once:
+    ``step(alpha)`` makes ``x += p*alpha`` and ``r -= Ap*alpha``, and
+    ``direction(beta)`` makes ``p = p*beta + z``, in place. All five are flat
+    contiguous float64 vectors of one length. x, r and p share no memory with
+    the others, but z may be r (plain CG) or share Ap's buffer (mass PCG)."""
+    size = x.size
+    _check_buffers(size, (x, r, p), (Ap, z))
+    others = (r, p, Ap) if z is r else (r, p, Ap, z)
+    for i, v in enumerate((x, r, p)):
+        if any(np.may_share_memory(v, w) for w in others[i:]):
+            raise ValueError("x, r and p must not share memory with the other vectors")
+    kernels = _backend()
+    x, r, p, Ap, z = kernels.bind(x, r, p, Ap, z)
+    return partial(kernels.cg_update, size, x, r, p, Ap), partial(kernels.p_update, size, p, z)

@@ -7,11 +7,12 @@ residual is recomputed from scratch once as a drift guard, and iteration
 resumes from the true residual in the unlikely case the recurrence had drifted
 past the threshold.
 
-A solve allocates its work vectors once, before the first iteration, and
-updates them in place with :func:`~masspcg.operators.cg_update` and
-:func:`~masspcg.operators.p_update`. The inner products stay whole-vector
-``dot`` calls, so no sum is reordered; ``||r||`` is ``sqrt(r·r)`` from the
-same ``r·r`` that plain CG uses as ``<z, r>``, as ``norm2`` computes it.
+A solve allocates its work vectors once and binds the vector updates to them
+(:func:`~masspcg.operators.bind_updates`). Mass PCG writes ``z = M r`` into
+the buffer of ``Ap = A p``: Ap is dead once r is updated, and z once p is.
+The inner products stay whole-vector ``dot`` calls, so no sum is reordered;
+``||r||`` is ``sqrt(r·r)``, as ``norm2`` computes it, from the same ``r·r``
+that plain CG uses as ``<z, r>``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, check_vector, dot
-from .operators import apply_laplacian, apply_mass, cg_update, p_update
+from .operators import apply_laplacian, apply_mass, bind_updates
 
 
 class NumericalBreakdownError(RuntimeError):
@@ -31,8 +32,8 @@ class NumericalBreakdownError(RuntimeError):
 
 PRECONDITION_KINDS = ("none", "mass")
 
-#: Length-N float64 vectors one solve holds: b, x, r, p, Ap, and z for mass.
-WORK_VECTORS = {"none": 5, "mass": 6}
+#: Length-N float64 vectors one solve holds: b, x, r, p, and Ap, shared by z.
+WORK_VECTORS = 5
 
 
 @dataclass(frozen=True)
@@ -146,10 +147,11 @@ def cg_solve(
 
     rz = 0.0
     if not converged:
-        z = apply_mass(spec, r) if mass else r
+        Ap = apply_mass(spec, r) if mass else np.empty(spec.size)
+        z = Ap if mass else r
         p = z.copy()
-        Ap = np.empty(spec.size)
         rz = _inner_zr(r, z, rr)
+        step, direction = bind_updates(x, r, p, Ap, z)
 
     # rz stays 0.0 when r0 already passes; otherwise a zero <z, r> has
     # underflowed at the attainable-accuracy floor: stop unconverged
@@ -159,7 +161,7 @@ def cg_solve(
         if pAp <= 0.0:
             raise NumericalBreakdownError(f"<p, Ap> = {pAp} is not positive")
         alpha = rz / pAp
-        cg_update(x, r, p, Ap, alpha)
+        step(alpha)
         rr, res = _residual(r)
         history.append(res)
         iterations += 1
@@ -180,7 +182,7 @@ def cg_solve(
         if rz_new == 0.0:
             break
         beta = rz_new / rz
-        p_update(p, z, beta)
+        direction(beta)
         rz = rz_new
 
     return SolveReport(

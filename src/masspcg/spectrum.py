@@ -33,7 +33,6 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import acos, pi, sqrt
 
 import numpy as np
@@ -47,11 +46,7 @@ SPECTRUM_CAP = 2**20
 CLOSED_FORM_RTOL = 1e-12
 
 #: Limit of the condition-number ratio r = kappa/kappa_p as h -> 0, by dimension.
-ASYMPTOTIC_RATIO_LIMIT = {
-    1: float(Fraction(8, 3)),
-    2: float(Fraction(9, 2)),
-    3: float(Fraction(512, 81)),
-}
+ASYMPTOTIC_RATIO_LIMIT = {1: 8 / 3, 2: 9 / 2, 3: 512 / 81}
 
 #: Cap on the extreme-eigenvalue scan size, ``n**max(d-1, 1)`` frequency tuples.
 SCAN_CAP = 2**24
@@ -243,12 +238,7 @@ def closed_form_preconditioned_kappa(spec: GridSpec) -> tuple[int, float]:
     (relevant only for d=3, n=1 where the floor is 0).
     """
     h = spec.h
-    if spec.d == 1:
-        raw = 2.0 / (3.0 * h)
-    elif spec.d == 2:
-        raw = 1.0 / (2.0 * h)
-    else:
-        raw = acos(0.25) / (pi * h)
+    raw = (2.0 / (3.0 * h), 1.0 / (2.0 * h), acos(0.25) / (pi * h))[spec.d - 1]
     index = min(spec.n, max(1, int(raw)))
     num = eigenvalue(OperatorKind.PRECONDITIONED, spec, (index,) * spec.d)
     den = eigenvalue(OperatorKind.PRECONDITIONED, spec, (1,) * spec.d)

@@ -137,6 +137,21 @@ def test_table2_checks_every_cell_before_solving(capsys):
     assert "solving" not in err and "note" not in err
 
 
+def test_figures_checks_every_case_before_writing(tmp_path, capsys, monkeypatch):
+    # as table2 does: an oversized residual case is refused before the first
+    # note, the output directory or any file
+    monkeypatch.setattr(experiments, "FIGURE_RESIDUAL_CASES", ((2, 64), (3, 5000)))
+    outdir = tmp_path / "figs"
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "figures", "--out", str(outdir))
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    assert "d=3 n=5000" in err and "physical memory" in err
+    assert "wrote" not in err and "spectrum" not in err
+    assert not outdir.exists()
+
+
 def test_condition_scan_cap_exit_code(capsys):
     # 10**12 frequency tuples: refused before the scan starts
     start = time.perf_counter()

@@ -282,9 +282,12 @@ def expected_updates(x, r, p, Ap, z, alpha, beta):
     return x1, r1, p * beta + (r1 if z is r else z)
 
 
-def run_updates(x, r, p, Ap, z, alpha, beta):
-    operators.cg_update(x, r, p, Ap, alpha)
-    operators.p_update(p, z, beta)
+def shared_z(x, r, p, Ap, z, z_is):
+    # z apart, z the very r (plain CG), or z in Ap's buffer (mass PCG)
+    return {"apart": z, "r": r, "Ap": Ap}[z_is]
+
+
+Z_CASES = ("apart", "r", "Ap")
 
 
 @pytest.mark.parametrize("size", [1, 255, 256, 257, 1 << 21])
@@ -296,17 +299,18 @@ def test_updates_match_numpy_bitwise(size, monkeypatch):
         start[0][:] = start[2][:] = -0.0  # x + (-0.0)*alpha must stay -0.0
     for kernels in stencil_kernels():
         monkeypatch.setattr(operators, "_kernels", kernels)
-        for z_is_r in (False, True):
+        for z_is in Z_CASES:
             x, r, p, Ap, z = (v.copy() for v in start)
-            if z_is_r:
-                z = r
-            # three steps on the same vectors, each starting from the last
-            # one's results, with a zero and a negative step among them
+            z = shared_z(x, r, p, Ap, z, z_is)
+            step, direction = operators.bind_updates(x, r, p, Ap, z)
+            # three steps bound once, each starting from the last one's
+            # results, with a zero and a negative step among them
             for alpha, beta in [(0.37, 1.9), (0.0, -0.0), (-2.5, 0.125)]:
                 expected = expected_updates(x, r, p, Ap, z, alpha, beta)
-                run_updates(x, r, p, Ap, z, alpha, beta)
+                step(alpha)
+                direction(beta)
                 for got, want in zip((x, r, p), expected):
-                    assert same_bits(got, want), (kernels, z_is_r, alpha)
+                    assert same_bits(got, want), (kernels, z_is, alpha)
 
 
 @pytest.mark.parametrize("offset", [0, 16, 64])
@@ -320,41 +324,63 @@ def test_updates_with_operands_just_apart_in_one_block(size, offset, monkeypatch
     start = [signed_zero_vector(GridSpec(1, size), rng) for _ in range(5)]
     for kernels in stencil_kernels():
         monkeypatch.setattr(operators, "_kernels", kernels)
-        for z_is_r in (False, True):
+        for z_is in Z_CASES:
             x, r, p, Ap, z = (block[i * gap : i * gap + size] for i in range(5))
             for v, value in zip((x, r, p, Ap, z), start):
                 v[:] = value
-            if z_is_r:
-                z = r
+            z = shared_z(x, r, p, Ap, z, z_is)
             expected = expected_updates(x, r, p, Ap, z, 0.37, 1.9)
-            run_updates(x, r, p, Ap, z, 0.37, 1.9)
+            step, direction = operators.bind_updates(x, r, p, Ap, z)
+            step(0.37)
+            direction(1.9)
             for got, want in zip((x, r, p), expected):
-                assert same_bits(got, want), (kernels, z_is_r)
+                assert same_bits(got, want), (kernels, z_is)
 
 
 def test_updates_reject_bad_operands(monkeypatch):
-    # the kernels take bare pointers and trust the first vector's length
+    # the kernels take bare pointers and trust the first vector's length, so
+    # every operand is checked when the updates are bound
     def vectors(n=4):
-        return [np.zeros(n) for _ in range(4)]
+        return [np.zeros(n) for _ in range(5)]
 
     read_only = np.zeros(4)
     read_only.flags.writeable = False
     for kernels in stencil_kernels():
         monkeypatch.setattr(operators, "_kernels", kernels)
         with pytest.raises(DimensionMismatchError):
-            operators.cg_update(*vectors()[:3], np.zeros(3), 1.0)
+            operators.bind_updates(*vectors()[:3], np.zeros(3), np.zeros(4))
         with pytest.raises(DimensionMismatchError):
-            operators.p_update(np.zeros(4), np.zeros(5), 1.0)
+            operators.bind_updates(*vectors()[:4], np.zeros(5))
         with pytest.raises(DimensionMismatchError):
-            operators.p_update(np.zeros((2, 2)), np.zeros((2, 2)), 1.0)
+            operators.bind_updates(*(np.zeros((2, 2)) for _ in range(5)))
         with pytest.raises(ValueError, match="contiguous"):
-            operators.cg_update(*vectors()[:3], np.zeros(8)[::2], 1.0)
+            operators.bind_updates(*vectors()[:3], np.zeros(8)[::2], np.zeros(4))
         with pytest.raises(ValueError, match="float64"):
-            operators.p_update(np.zeros(4), np.zeros(4, dtype=np.float32), 1.0)
+            operators.bind_updates(*vectors()[:4], np.zeros(4, dtype=np.float32))
         with pytest.raises(ValueError, match="writeable"):
-            operators.cg_update(np.zeros(4), read_only, *vectors()[:2], 1.0)
+            operators.bind_updates(np.zeros(4), read_only, *vectors()[:3])
         assert not read_only.any()
-        operators.p_update(np.zeros(4), read_only, 1.0)  # only read: accepted
+        # only read: accepted, and the bound updates run
+        x, r, p, _, _ = vectors()
+        step, direction = operators.bind_updates(x, r, p, read_only, read_only)
+        step(1.0)
+        direction(1.0)
+
+
+def test_updates_reject_written_vectors_sharing_memory(monkeypatch):
+    # x, r and p are written, so each must be apart from every other operand;
+    # only z may be r itself or share Ap's buffer
+    block = np.zeros(8)
+    for kernels in stencil_kernels():
+        monkeypatch.setattr(operators, "_kernels", kernels)
+        x, r, p, Ap, z = (np.zeros(4) for _ in range(5))
+        for operands in [(x, x, p, Ap, z), (x, r, r, Ap, z), (x, r, p, p, z), (x, r, p, Ap, x),
+                         (x, r, p, Ap, p), (block[:4], block[2:6], p, Ap, z)]:
+            with pytest.raises(ValueError, match="share memory"):
+                operators.bind_updates(*operands)
+        operators.bind_updates(x, r, p, Ap, r)
+        operators.bind_updates(x, r, p, Ap, Ap)
+        operators.bind_updates(x, r, p, block[:4], block[2:6])
 
 
 def test_failed_load_falls_back_to_numpy_bits(monkeypatch):

@@ -1,6 +1,11 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import masspcg._sweeps as sweeps
+import masspcg.operators as operators
 import masspcg.solver as solver
 from masspcg import (
     GridSpec,
@@ -11,6 +16,7 @@ from masspcg import (
     dot,
     norm2,
 )
+from test_operators import stencil_kernels
 
 SPECS = [GridSpec(1, 40), GridSpec(2, 12), GridSpec(3, 5)]
 
@@ -238,3 +244,81 @@ def test_zr_underflow_stops_unconverged():
     assert 0 < report.iterations < 60
     assert len(report.residual_history) == report.iterations + 1
     assert 0.0 < report.residual_history[-1] < 1e-150
+
+
+def counted_calls(monkeypatch, names):
+    # count the calls the solver makes through its own module names, as the
+    # benchmark's tracer sees them
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
+    return calls
+
+
+@pytest.mark.parametrize("spec, tol, max_iter, replacements", [
+    (GridSpec(2, 16), 1e-8, None, 0),  # converged at the first drift check
+    (GridSpec(1, 6), 1e-15, None, 1),  # one replacement, then converged
+    (GridSpec(2, 16), 1e-8, 3, 0),  # capped before any drift check
+], ids=["converged", "replaced", "capped"])
+def test_mass_pcg_calls_per_iteration(spec, tol, max_iter, replacements, monkeypatch):
+    # per iteration one Laplacian, one mass multiply and three dots; each
+    # drift check adds a Laplacian and a dot. The per-layer metrics of the
+    # benchmark read these calls, so they must stay calls through solver
+    calls = counted_calls(monkeypatch, ("apply_laplacian", "apply_mass", "dot"))
+    b = np.ones(spec.size)
+    report = cg_solve(spec, b, config=SolveConfig(tol=tol * norm2(b), max_iter=max_iter,
+                                                  precondition="mass"))
+    it, converged = report.iterations, report.converged
+    assert report.replacements == replacements
+    assert converged == (max_iter is None)
+    checks = replacements + converged
+    assert calls["apply_laplacian"] == it + checks
+    # M r0 before the loop; none after the update that converged
+    assert calls["apply_mass"] == 1 + it - converged
+    # r·r and <z, r> before the loop; <p, Ap> and r·r per iteration, r·r per
+    # drift check, <z, r> per iteration but the one that converged
+    assert calls["dot"] == 2 + 2 * it + checks + (it - converged)
+
+
+def test_mass_drift_guard_through_the_shared_buffer(monkeypatch):
+    # the from-scratch residual A x goes through the buffer that holds Ap and
+    # z = M r: the replacement and every bit of the result are those of a
+    # solve with a separate z (digest recorded before the buffers merged)
+    spec = GridSpec(1, 6)
+    b = np.ones(spec.size)
+    for kernels in stencil_kernels():
+        monkeypatch.setattr(operators, "_kernels", kernels)
+        report = cg_solve(spec, b, config=SolveConfig(tol=1e-15 * norm2(b), precondition="mass"))
+        assert (report.iterations, report.converged, report.replacements) == (4, True, 1)
+        digest = hashlib.sha256(report.residual_history.tobytes() + report.solution.tobytes())
+        assert digest.hexdigest() == "05dcbb5543276dfe11a37b7587298c30bc5520fba7cd4652895b3b172ee3ec52"
+
+
+@pytest.mark.parametrize("precondition", ["none", "mass"])
+def test_solve_stays_within_its_work_vectors(precondition, monkeypatch):
+    # more than CHUNK values, so the numpy update's temporary is a chunk; the
+    # caller's b is allocated before tracing, so a solve may add the other
+    # WORK_VECTORS - 1, the mass scratch plane, that chunk and small change
+    spec = GridSpec(3, 48)
+    assert spec.size > sweeps.CHUNK
+    b = np.ones(spec.size)
+    config = SolveConfig(tol=1e-8 * norm2(b), precondition=precondition, record_history=False)
+    budget = (solver.WORK_VECTORS - 1) * 8 * spec.size + 8 * spec.n**2 + 8 * sweeps.CHUNK + (64 << 10)
+    for kernels in stencil_kernels():
+        monkeypatch.setattr(operators, "_kernels", kernels)
+        tracemalloc.start()
+        try:
+            report = cg_solve(spec, b, config=config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.converged
+        assert peak <= budget, (kernels, peak / (8 * spec.size))
