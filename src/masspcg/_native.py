@@ -89,8 +89,8 @@ _F64, _I64, _VEC = ctypes.c_double, ctypes.c_int64, Vector
 SIGNATURES = {
     "laplacian": [_I64, _I64, _VEC, _VEC, _F64, _F64],
     "mass": [_I64, _I64, _VEC, _VEC, _F64, _F64, _VEC],
-    "cg_update": [_I64, _VEC, _VEC, _VEC, _VEC, _F64],
-    "p_update": [_I64, _VEC, _VEC, _F64],
+    "r_update": [_I64, _VEC, _VEC, _F64],
+    "xp_update": [_I64, _VEC, _VEC, _VEC, _F64, _F64],
 }
 
 

@@ -19,12 +19,15 @@
  * (1, 1, n) in 1D, (1, n, n) in 2D and (n, n, n) in 3D. The numpy axes map to
  * plane, line and element in that order.
  *
- * Results go through a LINE-element stack buffer and are copied out with
- * memcpy. Storing straight into the output, the stores trail the loads from
- * another vector by a few bytes modulo 4096 when the two sit that far apart
- * (adjacent 16 MiB work vectors do, and in plain CG z is r); the loads then
- * wait on false store forwarding (4K aliasing) and the naive kernel runs
- * slower than numpy.
+ * Every kernel stores straight into its output. A store still stalls later
+ * loads that map to its address modulo 4096 (4K aliasing): at 3D n=128 the
+ * Laplacian ran 4-6 times as slow with out 8-32 bytes past u modulo 4096, and
+ * the x and p update twice as slow with z 16 bytes before p, as consecutive
+ * heap blocks lie. So cg_solve starts each work vector on a page. There the
+ * direct stores beat the LINE-value stack buffers they replace, on a shared
+ * 2-vCPU Xeon VM: Laplacian 72 against 82 us at 2D n=256 and 3.4 against
+ * 4.0-4.5 ms at 3D n=128, mass 97-111 against 109-121 us and 6.1-7.0 against
+ * 7.6-8.3 ms.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -55,12 +58,12 @@ void masspcg_laplacian(int64_t d, int64_t n, const double *restrict u, double *r
                        double diag, double h2)
 {
     ptrdiff_t m0 = d == 3 ? n : 1, m1 = d >= 2 ? n : 1, plane = m1 * n;
-    double buf[LINE];
     for (ptrdiff_t i0 = 0; i0 < m0; i0++) {
         for (ptrdiff_t i1 = 0; i1 < m1; i1++) {
             for (ptrdiff_t a = 0; a < n; a += LINE) {
                 ptrdiff_t len = n - a < LINE ? n - a : LINE, start = i0 * plane + i1 * n + a;
                 const double *x = u + start;
+                double *o = out + start;
                 const double *q0 = i0 + 1 < m0 ? x + plane : zeros;
                 const double *q1 = i0 > 0 ? x - plane : zeros;
                 const double *q2 = i1 + 1 < m1 ? x + n : zeros, *q3 = i1 > 0 ? x - n : zeros;
@@ -68,21 +71,20 @@ void masspcg_laplacian(int64_t d, int64_t n, const double *restrict u, double *r
                 ptrdiff_t lo = a == 0, hi = a + len < n ? len : len - 1;
                 if (d == 3)
                     for (ptrdiff_t k = lo; k < hi; k++)
-                        buf[k] = lap(diag, x[k], q0[k], q1[k], q2[k], q3[k],
-                                     x[k + 1], x[k - 1], h2);
+                        o[k] = lap(diag, x[k], q0[k], q1[k], q2[k], q3[k],
+                                   x[k + 1], x[k - 1], h2);
                 else if (d == 2)
                     for (ptrdiff_t k = lo; k < hi; k++)
-                        buf[k] = lap(diag, x[k], 0.0, 0.0, q2[k], q3[k], x[k + 1], x[k - 1], h2);
+                        o[k] = lap(diag, x[k], 0.0, 0.0, q2[k], q3[k], x[k + 1], x[k - 1], h2);
                 else
                     for (ptrdiff_t k = lo; k < hi; k++)
-                        buf[k] = lap(diag, x[k], 0.0, 0.0, 0.0, 0.0, x[k + 1], x[k - 1], h2);
+                        o[k] = lap(diag, x[k], 0.0, 0.0, 0.0, 0.0, x[k + 1], x[k - 1], h2);
                 if (a == 0)
-                    buf[0] = lap(diag, x[0], q0[0], q1[0], q2[0], q3[0],
-                                 n > 1 ? x[1] : 0.0, 0.0, h2);
+                    o[0] = lap(diag, x[0], q0[0], q1[0], q2[0], q3[0],
+                               n > 1 ? x[1] : 0.0, 0.0, h2);
                 if (a + len == n)
-                    buf[len - 1] = lap(diag, x[len - 1], q0[len - 1], q1[len - 1], q2[len - 1],
-                                       q3[len - 1], 0.0, n > 1 ? x[len - 2] : 0.0, h2);
-                memcpy(out + start, buf, (size_t)len * sizeof(double));
+                    o[len - 1] = lap(diag, x[len - 1], q0[len - 1], q1[len - 1], q2[len - 1],
+                                     q3[len - 1], 0.0, n > 1 ? x[len - 2] : 0.0, h2);
             }
         }
     }
@@ -101,13 +103,13 @@ static void mass_across(double *restrict dst, const double *mid, const double *n
  * scratch, n*n values; then, a line chunk at a time, the sweep across lines
  * (2D and 3D) into the LINE + 2 buffer y, which holds the chunk and one
  * neighbour on each side, -0.0 past the line's ends; then the sweep along
- * the line from y, times s. Each sweep is rounded to ((4*x + next) + prev) * c.
+ * the line from y into out, times s. Each sweep is rounded to ((4*x + next) + prev) * c.
  * c = h/6 and s = h**(2-d) come from the caller. */
 void masspcg_mass(int64_t d, int64_t n, const double *restrict u, double *restrict out,
                   double c, double s, double *restrict scratch)
 {
     ptrdiff_t m0 = d == 3 ? n : 1, m1 = d >= 2 ? n : 1, plane = m1 * n;
-    double y[LINE + 2], buf[LINE];
+    double y[LINE + 2];
     for (ptrdiff_t i0 = 0; i0 < m0; i0++) {
         const double *P = u + i0 * plane;
         if (d == 3) {
@@ -120,6 +122,7 @@ void masspcg_mass(int64_t d, int64_t n, const double *restrict u, double *restri
         }
         for (ptrdiff_t i1 = 0; i1 < m1; i1++) {
             const double *x = P + i1 * n;
+            double *o = out + i0 * plane + i1 * n;
             for (ptrdiff_t a = 0; a < n; a += LINE) {
                 ptrdiff_t len = n - a < LINE ? n - a : LINE;
                 /* y[j] stands for line value a - 1 + j; lo..hi are in the line */
@@ -131,38 +134,29 @@ void masspcg_mass(int64_t d, int64_t n, const double *restrict u, double *restri
                 else
                     memcpy(y + 1 + lo - a, x + lo, (size_t)(hi - lo) * sizeof(double));
                 for (ptrdiff_t k = 0; k < len; k++)
-                    buf[k] = (4.0 * y[k + 1] + y[k + 2] + y[k]) * c * s;
-                memcpy(out + i0 * plane + i1 * n + a, buf, (size_t)len * sizeof(double));
+                    o[a + k] = (4.0 * y[k + 1] + y[k + 2] + y[k]) * c * s;
             }
         }
     }
 }
 
-/* The CG step x = x + p*alpha, r = r - Ap*alpha over N values, each product
- * rounded before the sum as numpy rounds x += p*alpha. */
-void masspcg_cg_update(int64_t N, double *x, double *r, const double *p, const double *Ap,
-                       double alpha)
+/* The residual update r = r - Ap*alpha over N values, each product rounded
+ * before the difference as numpy rounds r - Ap*alpha. */
+void masspcg_r_update(int64_t N, double *restrict r, const double *Ap, double alpha)
 {
-    double buf[LINE];
-    for (ptrdiff_t a = 0; a < N; a += LINE) {
-        ptrdiff_t len = N - a < LINE ? N - a : LINE;
-        for (ptrdiff_t k = 0; k < len; k++)
-            buf[k] = x[a + k] + p[a + k] * alpha;
-        memcpy(x + a, buf, (size_t)len * sizeof(double));
-        for (ptrdiff_t k = 0; k < len; k++)
-            buf[k] = r[a + k] - Ap[a + k] * alpha;
-        memcpy(r + a, buf, (size_t)len * sizeof(double));
-    }
+    for (ptrdiff_t k = 0; k < N; k++)
+        r[k] = r[k] - Ap[k] * alpha;
 }
 
-/* The new search direction p = p*beta + z over N values. */
-void masspcg_p_update(int64_t N, double *p, const double *z, double beta)
+/* The solution and direction updates x = x + p*alpha, then p = p*beta + z, in
+ * one pass over N values that reads p once. z is not restrict: it may be r or
+ * share Ap's buffer. */
+void masspcg_xp_update(int64_t N, double *restrict x, double *restrict p, const double *z,
+                       double alpha, double beta)
 {
-    double buf[LINE];
-    for (ptrdiff_t a = 0; a < N; a += LINE) {
-        ptrdiff_t len = N - a < LINE ? N - a : LINE;
-        for (ptrdiff_t k = 0; k < len; k++)
-            buf[k] = p[a + k] * beta + z[a + k];
-        memcpy(p + a, buf, (size_t)len * sizeof(double));
+    for (ptrdiff_t k = 0; k < N; k++) {
+        double pk = p[k];
+        x[k] = x[k] + pk * alpha;
+        p[k] = pk * beta + z[k];
     }
 }

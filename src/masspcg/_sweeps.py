@@ -3,15 +3,15 @@ of ``_stencils.c`` cannot be built or loaded. It is the other implementation
 of the kernel table of ``_native.SIGNATURES``: the same names, and the same
 arguments, scalars and scratch, all computed by ``operators``. Like the
 compiled kernels it gives the bits of the bitwise reference, the whole-array
-stencils of ``tests/oracle.py``. Its one temporary, of :func:`cg_update`, is
-``CHUNK`` values or the whole vector when shorter, which is not a work vector.
+stencils of ``tests/oracle.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: Entries per :func:`cg_update` chunk, whose products share one temporary.
+#: Entries per update chunk, whose products share the one temporary of this
+#: module, a chunk or the whole vector when shorter, which is not a work vector.
 CHUNK = 1 << 16
 
 
@@ -59,21 +59,22 @@ def mass(d: int, n: int, u: np.ndarray, out: np.ndarray, c: float, s: float,
     out *= s
 
 
-def cg_update(size: int, x: np.ndarray, r: np.ndarray, p: np.ndarray, Ap: np.ndarray,
-              alpha: float) -> None:
-    """``x += p*alpha`` and ``r -= Ap*alpha``, each product rounded before the
-    add, through one chunk-sized temporary."""
+def r_update(size: int, r: np.ndarray, Ap: np.ndarray, alpha: float) -> None:
+    """``r -= Ap*alpha``, each product rounded through one chunk-sized temporary."""
     t = np.empty(min(CHUNK, size))
     for a in range(0, size, CHUNK):
-        xs, rs = x[a : a + CHUNK], r[a : a + CHUNK]
-        xs += np.multiply(p[a : a + CHUNK], alpha, out=t[: xs.size])
-        rs -= np.multiply(Ap[a : a + CHUNK], alpha, out=t[: xs.size])
+        rs = r[a : a + CHUNK]
+        rs -= np.multiply(Ap[a : a + CHUNK], alpha, out=t[: rs.size])
 
 
-def p_update(size: int, p: np.ndarray, z: np.ndarray, beta: float) -> None:
-    """``p = p*beta + z`` over ``size`` entries."""
-    p *= beta
-    p += z
+def xp_update(size: int, x: np.ndarray, p: np.ndarray, z: np.ndarray, alpha: float, beta: float) -> None:
+    """``x += p*alpha``, rounded as in :func:`r_update`, then ``p = p*beta + z``."""
+    t = np.empty(min(CHUNK, size))
+    for a in range(0, size, CHUNK):
+        xs, ps = x[a : a + CHUNK], p[a : a + CHUNK]
+        xs += np.multiply(ps, alpha, out=t[: xs.size])
+        ps *= beta
+        ps += z[a : a + CHUNK]
 
 
 def bind(*vectors) -> tuple:

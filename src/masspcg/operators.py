@@ -127,10 +127,10 @@ def apply_mass(spec: GridSpec, u: np.ndarray, out: np.ndarray | None = None) -> 
 
 def bind_updates(x: np.ndarray, r: np.ndarray, p: np.ndarray, Ap: np.ndarray, z: np.ndarray):
     """The CG updates of one solve, their operands checked and converted once:
-    ``step(alpha)`` makes ``x += p*alpha`` and ``r -= Ap*alpha``, and
-    ``direction(beta)`` makes ``p = p*beta + z``, in place. All five are flat
-    contiguous float64 vectors of one length. x, r and p share no memory with
-    the others, but z may be r (plain CG) or share Ap's buffer (mass PCG)."""
+    ``step(alpha)`` makes ``r -= Ap*alpha``, and ``direction(alpha, beta)``
+    ``x += p*alpha`` and then ``p = p*beta + z`` in one pass, all in place. All
+    five are flat contiguous float64 vectors of one length. x, r and p share no
+    memory with the others, but z may be r (plain CG) or share Ap's buffer."""
     size = x.size
     _check_buffers(size, (x, r, p), (Ap, z))
     others = (r, p, Ap) if z is r else (r, p, Ap, z)
@@ -139,4 +139,4 @@ def bind_updates(x: np.ndarray, r: np.ndarray, p: np.ndarray, Ap: np.ndarray, z:
             raise ValueError("x, r and p must not share memory with the other vectors")
     kernels = _backend()
     x, r, p, Ap, z = kernels.bind(x, r, p, Ap, z)
-    return partial(kernels.cg_update, size, x, r, p, Ap), partial(kernels.p_update, size, p, z)
+    return partial(kernels.r_update, size, r, Ap), partial(kernels.xp_update, size, x, p, z)

@@ -9,7 +9,8 @@ past the threshold.
 
 A solve allocates its work vectors once and binds the vector updates to them
 (:func:`~masspcg.operators.bind_updates`). Mass PCG writes ``z = M r`` into
-the buffer of ``Ap = A p``: Ap is dead once r is updated, and z once p is.
+the buffer of ``Ap = A p``: Ap is dead once r is updated, and z once p is; x
+lags r by one update, made in the pass that updates p.
 The inner products stay whole-vector ``dot`` calls, so no sum is reordered;
 ``||r||`` is ``sqrt(r·r)``, as ``norm2`` computes it, from the same ``r·r``
 that plain CG uses as ``<z, r>``.
@@ -101,6 +102,15 @@ def _inner_zr(r: np.ndarray, z: np.ndarray, rr: float) -> float:
     return rz
 
 
+def _vector(size: int, value) -> np.ndarray:
+    """A new vector set to ``value``, on a page: the kernels store in place, so
+    an output a few bytes past its input modulo 4096 stalls them (4K aliasing)."""
+    raw = np.empty(size + 511)
+    v = raw[-raw.ctypes.data % 4096 // 8 :][:size]
+    v[...] = value
+    return v
+
+
 def cg_solve(
     spec: GridSpec,
     b: np.ndarray,
@@ -135,8 +145,8 @@ def cg_solve(
     """
     cfg = config if config is not None else SolveConfig()
     b = check_vector(spec, b, "b")
-    x = np.zeros(spec.size)
-    r = b.copy()
+    x = _vector(spec.size, 0.0)
+    r = _vector(spec.size, b)
     max_iter = cfg.resolved_max_iter(spec)
     mass = cfg.precondition == "mass"
 
@@ -147,9 +157,9 @@ def cg_solve(
 
     rz = 0.0
     if not converged:
-        Ap = apply_mass(spec, r) if mass else np.empty(spec.size)
-        z = Ap if mass else r
-        p = z.copy()
+        Ap = _vector(spec.size, 0.0)
+        z = apply_mass(spec, r, out=Ap) if mass else r
+        p = _vector(spec.size, z)
         rz = _inner_zr(r, z, rr)
         step, direction = bind_updates(x, r, p, Ap, z)
 
@@ -166,9 +176,11 @@ def cg_solve(
         history.append(res)
         iterations += 1
         if res < cfg.tol:
-            # Drift guard: confirm with a from-scratch residual; if the
-            # recurrence drifted, resume from the true residual. It is
-            # written into r in place, since z is r in plain CG.
+            # Drift guard: confirm with a from-scratch residual, written into r
+            # in place (z is r in plain CG), and resume from it if the recurrence
+            # drifted. x catches up first, in Ap's free buffer; x + p*0.0 is x.
+            np.add(x, np.multiply(p, alpha, out=Ap), out=x)
+            alpha = 0.0
             np.subtract(b, apply_laplacian(spec, x, out=Ap), out=r)
             rr, res = _residual(r)
             if res < cfg.tol:
@@ -180,9 +192,10 @@ def cg_solve(
             apply_mass(spec, r, out=z)
         rz_new = _inner_zr(r, z, rr)
         if rz_new == 0.0:
+            np.add(x, np.multiply(p, alpha, out=Ap), out=x)
             break
         beta = rz_new / rz
-        direction(beta)
+        direction(alpha, beta)
         rz = rz_new
 
     return SolveReport(

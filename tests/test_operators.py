@@ -205,7 +205,7 @@ def test_bad_out_rejected(apply):
 
 
 # The compiled stencils and the numpy sweeps they fall back to must both give
-# the reference bits. Lines longer than the kernel's 256-value line buffer
+# the reference bits. Lines longer than the kernel's 256-value line chunk
 # (n > 256) are split into chunks, so the grids cross chunk edges too, with a
 # line ending at, just past or two past a chunk edge.
 BITWISE_SPECS = (
@@ -275,9 +275,29 @@ def test_out_just_past_u_in_one_block(spec, offset, monkeypatch):
         assert same_bits(apply_mass(spec, u, out=out), reference_mass(spec, u)), kernels
 
 
+@pytest.mark.parametrize("offset", [0, 16, 64])
+@pytest.mark.parametrize("spec", [GridSpec(1, 4096), GridSpec(2, 256), GridSpec(3, 32)], ids=str)
+def test_stencils_with_u_and_out_adjacent_in_one_block(spec, offset, monkeypatch):
+    # u and out follow each other in one allocation, offset values apart,
+    # either one first; the kernels store straight into out, so with offset
+    # 0 every store lands at the address of a load from u modulo 4096
+    block = np.zeros(2 * spec.size + offset)
+    rng = np.random.default_rng(offset + spec.d)
+    paths = stencil_kernels()
+    for u, out in [(block[: spec.size], block[spec.size + offset :]),
+                   (block[spec.size + offset :], block[: spec.size])]:
+        u[:] = signed_zero_vector(spec, rng)
+        for kernels in paths:
+            monkeypatch.setattr(operators, "_kernels", kernels)
+            for apply, reference in [(apply_laplacian, reference_laplacian), (apply_mass, reference_mass)]:
+                out[:] = np.nan
+                assert apply(spec, u, out=out) is out
+                assert same_bits(out, reference(spec, u)), (kernels, apply)
+
+
 def expected_updates(x, r, p, Ap, z, alpha, beta):
     # the numpy expressions the kernels must reproduce; p*beta + z takes the
-    # updated p when z is the updated r, as plain CG does
+    # updated r as z when z is r, as plain CG does
     x1, r1 = x + p * alpha, r - Ap * alpha
     return x1, r1, p * beta + (r1 if z is r else z)
 
@@ -308,9 +328,17 @@ def test_updates_match_numpy_bitwise(size, monkeypatch):
             for alpha, beta in [(0.37, 1.9), (0.0, -0.0), (-2.5, 0.125)]:
                 expected = expected_updates(x, r, p, Ap, z, alpha, beta)
                 step(alpha)
-                direction(beta)
+                direction(alpha, beta)
                 for got, want in zip((x, r, p), expected):
                     assert same_bits(got, want), (kernels, z_is, alpha)
+            # after a drift-guard replacement the solver has added p*alpha to
+            # x already, and its next direction passes alpha = 0.0: x + p*0.0
+            # is x for every x but -0.0, which the solver's x never holds (it
+            # starts at +0.0, and a sum is -0.0 only when both terms are)
+            x[x == 0.0] = 0.0
+            kept, expected_p = x.copy(), p * 1.5 + z
+            direction(0.0, 1.5)
+            assert same_bits(x, kept) and same_bits(p, expected_p), (kernels, z_is)
 
 
 @pytest.mark.parametrize("offset", [0, 16, 64])
@@ -332,7 +360,7 @@ def test_updates_with_operands_just_apart_in_one_block(size, offset, monkeypatch
             expected = expected_updates(x, r, p, Ap, z, 0.37, 1.9)
             step, direction = operators.bind_updates(x, r, p, Ap, z)
             step(0.37)
-            direction(1.9)
+            direction(0.37, 1.9)
             for got, want in zip((x, r, p), expected):
                 assert same_bits(got, want), (kernels, z_is)
 
@@ -364,7 +392,7 @@ def test_updates_reject_bad_operands(monkeypatch):
         x, r, p, _, _ = vectors()
         step, direction = operators.bind_updates(x, r, p, read_only, read_only)
         step(1.0)
-        direction(1.0)
+        direction(1.0, 1.0)
 
 
 def test_updates_reject_written_vectors_sharing_memory(monkeypatch):
@@ -407,8 +435,8 @@ def test_fallback_allocates_no_vector_sized_temporary(spec):
     calls = {
         "laplacian": lambda: sweeps.laplacian(d, n, x, r, 2.0 * d, h**2),
         "mass": lambda: sweeps.mass(d, n, x, r, h / 6.0, h ** (2 - d), scratch),
-        "cg_update": lambda: sweeps.cg_update(size, x, r, p, Ap, 0.37),
-        "p_update": lambda: sweeps.p_update(size, p, r, 1.9),
+        "r_update": lambda: sweeps.r_update(size, r, Ap, 0.37),
+        "xp_update": lambda: sweeps.xp_update(size, x, p, r, 0.37, 1.9),
     }
     for name, call in calls.items():
         tracemalloc.start()

@@ -302,6 +302,58 @@ def test_mass_drift_guard_through_the_shared_buffer(monkeypatch):
         assert digest.hexdigest() == "05dcbb5543276dfe11a37b7587298c30bc5520fba7cd4652895b3b172ee3ec52"
 
 
+@pytest.mark.parametrize("spec, tol, max_iter, precondition, outcome, digest", [
+    (GridSpec(1, 6), 1e-300, None, "none", (60, False, 2),
+     "b208c7457b469f9b858c0c1c32cfe2f27e0688f2660d06fc8a969346f81b8ff7"),
+    (GridSpec(1, 6), 1e-300, None, "mass", (51, False, 0),
+     "dadb084a150a34663d466a6d5b3a2234d2b7e006529eb6d55bba65fa8af7d4db"),
+    (GridSpec(1, 6), 1e-15, None, "mass", (4, True, 1),
+     "46876f28ccc1726131b1ed2c34dfcb20576a628d312783fa8aff6b2b68be630b"),
+    (GridSpec(2, 16), 1e-8, 3, "none", (3, False, 0),
+     "7c0bd52b73a93c1b186938f2ed4915703016c4b0d84b984b7fbd86fa1ecf5ab2"),
+    (GridSpec(2, 16), 1e-8, 3, "mass", (3, False, 0),
+     "02d215ab55de87928a2f95f70be80736501f96700474c5f735a5f446bb847fc8"),
+    (GridSpec(3, 12), 1e-8, None, "mass", (13, True, 0),
+     "168b208ade26628f2b57dd981a67da47c9fb6bf140bba37b55ac15ef0412d85c"),
+    (GridSpec(2, 64), 1e-8, None, "none", (119, True, 0),
+     "a972a84f192a7feaa27c04de799dc1902a485585311af1b40b806d7d4cd4498f"),
+], ids=["capped-replaced", "zr-underflow", "mass-replaced", "max-iter-plain", "max-iter-mass",
+        "converged-3d-mass", "converged-2d-plain"])
+def test_every_exit_path_keeps_its_bits(spec, tol, max_iter, precondition, outcome, digest,
+                                        monkeypatch):
+    # the solution, residual history and outcome of each way a solve ends, on
+    # both backends; x is updated a pass after r, so an exit that skipped
+    # bringing it up to date would change the solution's bits (digests
+    # recorded when x and r were updated in one step)
+    b = np.ones(spec.size)
+    config = SolveConfig(tol=tol * norm2(b), max_iter=max_iter, precondition=precondition)
+    for kernels in stencil_kernels():
+        monkeypatch.setattr(operators, "_kernels", kernels)
+        report = cg_solve(spec, b, config=config)
+        got = (report.iterations, report.converged, report.replacements)
+        assert got == outcome, kernels
+        data = report.solution.tobytes() + report.residual_history.tobytes() + repr(got).encode()
+        assert hashlib.sha256(data).hexdigest() == digest, kernels
+
+
+def test_work_vectors_start_on_a_page(monkeypatch):
+    # the kernels store in place, and a store stalls later loads that map to
+    # its address modulo 4096, as in consecutive heap blocks: a solve puts x,
+    # r, p and Ap (z too) on pages, where no load maps to a recent store
+    bound = []
+    bind = solver.bind_updates
+
+    def recording(*vectors):
+        bound.extend(vectors)
+        return bind(*vectors)
+
+    monkeypatch.setattr(solver, "bind_updates", recording)
+    for precondition in ("none", "mass"):
+        cg_solve(GridSpec(2, 16), np.ones(256), config=SolveConfig(max_iter=2, precondition=precondition))
+    assert len(bound) == 10
+    assert all(v.ctypes.data % 4096 == 0 for v in bound)
+
+
 @pytest.mark.parametrize("precondition", ["none", "mass"])
 def test_solve_stays_within_its_work_vectors(precondition, monkeypatch):
     # more than CHUNK values, so the numpy update's temporary is a chunk; the

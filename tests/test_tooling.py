@@ -2,6 +2,7 @@
 package carries what it needs at run time."""
 
 import ast
+import ctypes
 import importlib.resources
 import inspect
 import json
@@ -61,16 +62,25 @@ def test_kernel_source_builds_without_warnings(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def c_argtype(param):
+    """The ``SIGNATURES`` type that passes a C parameter declaration."""
+    if "*" in param:
+        return native.Vector
+    return {"int64_t": ctypes.c_int64, "double": ctypes.c_double}[param.split()[0]]
+
+
 def test_every_exported_kernel_is_declared():
     # ctypes passes undeclared arguments as C ints: a kernel added to the
     # source without an entry in the declaration table must fail here, not
-    # corrupt a solve at run time
+    # corrupt a solve at run time, and so must a table entry whose argument
+    # types, in order, are not those of the C parameters
     source = native.SOURCE.read_text()
     exported = {name: params for name, params in re.findall(r"^void masspcg_(\w+)\(([^)]*)\)", source, re.M)}
     assert exported, "no masspcg_* function found in the kernel source"
     assert set(exported) == set(native.SIGNATURES)
     for name, params in exported.items():
         assert len(params.split(",")) == len(native.SIGNATURES[name]), name
+        assert [c_argtype(param) for param in params.split(",")] == native.SIGNATURES[name], name
     assert not re.search(r"^(?!static|void masspcg_)\w[\w\s*]*\bmasspcg_\w+\(", source, re.M)
 
 
