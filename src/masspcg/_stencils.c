@@ -2,13 +2,14 @@
  * Single-pass Laplacian and mass stencils and the CG vector updates for
  * masspcg.operators.
  *
- * operators.py compiles this file the first time a kernel runs and calls it
- * through ctypes; the numpy code of _sweeps.py is the fallback. The bitwise
- * reference is the whole-array numpy stencils of tests/oracle.py and the
- * numpy expressions x + p*alpha, r - Ap*alpha and p*beta + z. Every element
- * gets the same floating-point operations in the same order as those, so the
- * results are bit-identical. That holds only without FMA contraction or
- * reassociation, so build with -ffp-contract=off and never with -ffast-math.
+ * _native.py compiles this file the first time a kernel runs, and
+ * operators.py calls it through ctypes; the numpy code of _sweeps.py is the
+ * fallback. The bitwise reference is the whole-array numpy stencils of
+ * tests/oracle.py and the numpy expressions x + p*alpha, r - Ap*alpha and
+ * p*beta + z. Every element gets the same floating-point operations in the
+ * same order as those, so the results are bit-identical. That holds only
+ * without FMA contraction or reassociation, so build with -ffp-contract=off
+ * and never with -ffast-math.
  *
  * A missing Dirichlet neighbour is not branched around but read as an
  * identity: the Laplacian subtracts +0.0 and the mass sweeps add -0.0. Under
@@ -19,15 +20,12 @@
  * (1, 1, n) in 1D, (1, n, n) in 2D and (n, n, n) in 3D. The numpy axes map to
  * plane, line and element in that order.
  *
- * Every kernel stores straight into its output. A store still stalls later
- * loads that map to its address modulo 4096 (4K aliasing): at 3D n=128 the
+ * Every kernel stores straight into its output. A store stalls later loads
+ * that map to its address modulo 4096 (4K aliasing): at 3D n=128 the
  * Laplacian ran 4-6 times as slow with out 8-32 bytes past u modulo 4096, and
  * the x and p update twice as slow with z 16 bytes before p, as consecutive
- * heap blocks lie. So cg_solve starts each work vector on a page. There the
- * direct stores beat the LINE-value stack buffers they replace, on a shared
- * 2-vCPU Xeon VM: Laplacian 72 against 82 us at 2D n=256 and 3.4 against
- * 4.0-4.5 ms at 3D n=128, mass 97-111 against 109-121 us and 6.1-7.0 against
- * 7.6-8.3 ms.
+ * heap blocks lie. So operators.py starts every vector it allocates, the
+ * solver's work vectors and a fresh out alike, on a page.
  */
 #include <stddef.h>
 #include <stdint.h>

@@ -76,6 +76,8 @@ def _positive_float(text: str) -> float:
 def _output_file(text: str) -> str:
     # checked at parse time, so no command computes a result it cannot write
     directory = os.path.dirname(text) or os.curdir
+    if not text:
+        raise argparse.ArgumentTypeError("cannot write an empty path")
     if os.path.isdir(text):
         raise argparse.ArgumentTypeError(f"cannot write {text}: it is a directory")
     if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):

@@ -1,7 +1,7 @@
-"""Matrix-free application of the Dirichlet Laplacian, the scaled mass operator,
-and their product.
+"""Matrix-free application of the Dirichlet Laplacian and the scaled mass
+operator, the CG vector updates, and the page-aligned allocator of new vectors.
 
-All three operators act on flat vectors of length ``n**d`` and never assemble a
+Both operators act on flat vectors of length ``n**d`` and never assemble a
 matrix. Off-grid neighbors contribute zero (homogeneous Dirichlet closure), so
 each operator is tridiagonal-Toeplitz along every axis and the tensor-product
 sine vectors are exact shared eigenvectors.
@@ -12,7 +12,6 @@ Scaling conventions on the unit domain with ``h = 1/(n+1)``:
 * Mass: per-axis sweep with weights ``(h/6) * (1, 4, 1)``, composed over axes,
   times a dimensional scale of ``h`` in 1D, ``1`` in 2D and ``1/h`` in 3D
   (i.e. ``h**(2-d)`` overall).
-* Preconditioned: mass applied after the Laplacian.
 
 The first call to a stencil or to :func:`bind_updates` compiles
 ``_stencils.c`` with the system C compiler and loads it through ctypes; later
@@ -57,6 +56,17 @@ def _backend():
     return _kernels
 
 
+def _vector(size: int, value=None) -> np.ndarray:
+    """A new vector on a page, set to ``value`` unless None: the kernels store
+    in place, so an output a few bytes past its input modulo 4096 stalls them
+    (4K aliasing), as consecutive heap blocks lie."""
+    raw = np.empty(size + 511)
+    v = raw[-raw.ctypes.data % 4096 // 8 :][:size]
+    if value is not None:
+        v[...] = value
+    return v
+
+
 def _check_buffers(size: int, written: tuple, read: tuple = ()) -> None:
     """Reject vectors the kernels cannot take as bare pointers: each must be a
     flat contiguous float64 ndarray of ``size`` entries, writeable if written."""
@@ -73,10 +83,10 @@ def _check_buffers(size: int, written: tuple, read: tuple = ()) -> None:
 
 def _operands(spec: GridSpec, u, out: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """``u`` as a contiguous float64 grid vector, and the caller's checked
-    ``out`` buffer or a new one."""
+    ``out`` buffer or a new one on a page."""
     u = check_vector(spec, u)
     if out is None:
-        out = np.empty(spec.size)
+        out = _vector(spec.size)
     else:
         _check_buffers(spec.size, (out,))
         if np.may_share_memory(out, u):

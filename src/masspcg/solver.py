@@ -10,7 +10,8 @@ past the threshold.
 A solve allocates its work vectors once and binds the vector updates to them
 (:func:`~masspcg.operators.bind_updates`). Mass PCG writes ``z = M r`` into
 the buffer of ``Ap = A p``: Ap is dead once r is updated, and z once p is; x
-lags r by one update, made in the pass that updates p.
+lags r by one update, made only in the pass that updates p, unless the drift
+guard's candidate ``x + p*alpha`` converges and becomes x.
 The inner products stay whole-vector ``dot`` calls, so no sum is reordered;
 ``||r||`` is ``sqrt(r·r)``, as ``norm2`` computes it, from the same ``r·r``
 that plain CG uses as ``<z, r>``.
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, check_vector, dot
-from .operators import apply_laplacian, apply_mass, bind_updates
+from .operators import _vector, apply_laplacian, apply_mass, bind_updates
 
 
 class NumericalBreakdownError(RuntimeError):
@@ -102,15 +103,6 @@ def _inner_zr(r: np.ndarray, z: np.ndarray, rr: float) -> float:
     return rz
 
 
-def _vector(size: int, value) -> np.ndarray:
-    """A new vector set to ``value``, on a page: the kernels store in place, so
-    an output a few bytes past its input modulo 4096 stalls them (4K aliasing)."""
-    raw = np.empty(size + 511)
-    v = raw[-raw.ctypes.data % 4096 // 8 :][:size]
-    v[...] = value
-    return v
-
-
 def cg_solve(
     spec: GridSpec,
     b: np.ndarray,
@@ -157,14 +149,15 @@ def cg_solve(
 
     rz = 0.0
     if not converged:
-        Ap = _vector(spec.size, 0.0)
+        Ap = _vector(spec.size)
         z = apply_mass(spec, r, out=Ap) if mass else r
         p = _vector(spec.size, z)
         rz = _inner_zr(r, z, rr)
         step, direction = bind_updates(x, r, p, Ap, z)
 
     # rz stays 0.0 when r0 already passes; otherwise a zero <z, r> has
-    # underflowed at the attainable-accuracy floor: stop unconverged
+    # underflowed at the attainable-accuracy floor: its beta = 0.0 still
+    # brings x up to date, and the solve stops unconverged
     while rz > 0.0 and iterations < max_iter:
         apply_laplacian(spec, p, out=Ap)
         pAp = _check_scalar(dot(p, Ap), "<p, Ap>")
@@ -176,26 +169,21 @@ def cg_solve(
         history.append(res)
         iterations += 1
         if res < cfg.tol:
-            # Drift guard: confirm with a from-scratch residual, written into r
-            # in place (z is r in plain CG), and resume from it if the recurrence
-            # drifted. x catches up first, in Ap's free buffer; x + p*0.0 is x.
-            np.add(x, np.multiply(p, alpha, out=Ap), out=x)
-            alpha = 0.0
-            np.subtract(b, apply_laplacian(spec, x, out=Ap), out=r)
+            # Drift guard: confirm with the from-scratch residual of x + p*alpha,
+            # built in Ap's free buffer, written into r in place (z is r in plain
+            # CG); resume from it if the recurrence drifted, x left to direction.
+            candidate = np.add(x, np.multiply(p, alpha, out=Ap), out=Ap)
+            np.subtract(b, apply_laplacian(spec, candidate, out=r), out=r)
             rr, res = _residual(r)
             if res < cfg.tol:
-                converged = True
+                x, converged = candidate, True
                 break
             history[-1] = res
             replacements += 1
         if mass:
             apply_mass(spec, r, out=z)
         rz_new = _inner_zr(r, z, rr)
-        if rz_new == 0.0:
-            np.add(x, np.multiply(p, alpha, out=Ap), out=x)
-            break
-        beta = rz_new / rz
-        direction(alpha, beta)
+        direction(alpha, rz_new / rz)
         rz = rz_new
 
     return SolveReport(

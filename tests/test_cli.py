@@ -288,19 +288,21 @@ OUTPUT_COMMANDS = [
     ("solve", "--dim", "1", "--n", "4"),
     ("table2", "--dim", "3", "--n", "64"),
 ]
-UNWRITABLE = [(argv, "missing/x.csv") for argv in OUTPUT_COMMANDS] + [(OUTPUT_COMMANDS[-1], ".")]
+UNWRITABLE = [(argv, "missing/x.csv") for argv in OUTPUT_COMMANDS] + [(OUTPUT_COMMANDS[-1], "."),
+                                                                       (OUTPUT_COMMANDS[-1], "")]
 
 
-@pytest.mark.parametrize("argv, out", UNWRITABLE, ids=[f"{argv[0]} {out}" for argv, out in UNWRITABLE])
+@pytest.mark.parametrize("argv, out", UNWRITABLE, ids=[f"{argv[0]} {out or repr(out)}" for argv, out in UNWRITABLE])
 def test_unwritable_output_fails_before_any_work(argv, out, tmp_path, capsys, monkeypatch):
-    # a missing directory, or a path that is a directory, is refused while
-    # the flags are parsed: no note is printed and nothing is computed
+    # a missing directory, a path that is a directory, or an empty path is
+    # refused while the flags are parsed: no note is printed and nothing is
+    # computed
     def started(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
 
     for name in ("run_solve", "table2_rows", "table1_rows", "spectrum_cells"):
         monkeypatch.setattr(cli, name, started)
-    target = str(tmp_path / out)
+    target = str(tmp_path / out) if out else out  # tmp_path / "" is tmp_path
     code, stdout, err = run_cli(capsys, *argv, "--out", target)
     assert (code, stdout) == (EXIT_USAGE, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and target in err

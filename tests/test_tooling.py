@@ -43,6 +43,17 @@ def test_closed_form_layers_import_no_kernel_or_solver(module):
     assert not leaves & {"operators", "solver", "_native", "_sweeps"}, module
 
 
+def test_solver_allocates_through_operators():
+    # operators owns where a vector the kernels write starts (on a page), so
+    # the solver allocates none itself
+    tree = ast.parse((ROOT / "src" / "masspcg" / "solver.py").read_text())
+    allocators = {"empty", "zeros", "ones", "full", "empty_like", "zeros_like"}
+    called = {node.func.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"}
+    assert not called & allocators
+
+
 def test_stencil_source_ships_with_the_package():
     # the kernel is compiled from this file on first use, so an installed
     # package must carry it (pyproject.toml lists it as package data)
