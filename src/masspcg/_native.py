@@ -23,9 +23,9 @@ import sysconfig
 import tempfile
 from pathlib import Path
 
-# FMA contraction and -ffast-math reassociation would change bits;
-# -march=native stays off too, as it brings in FMA units and ties the cached
-# library to one CPU.
+# FMA contraction and -ffast-math reassociation would change bits, and
+# -march=native would tie the cached library to one CPU. The source's KERNEL
+# clones each kernel for AVX-512F and AVX2 instead, picked per CPU at load time.
 CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 SOURCE = Path(__file__).with_name("_stencils.c")

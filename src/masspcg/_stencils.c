@@ -11,6 +11,13 @@
  * without FMA contraction or reassociation, so build with -ffp-contract=off
  * and never with -ffast-math.
  *
+ * Each exported kernel is marked KERNEL, which on x86-64 compiles it once per
+ * vector width (AVX-512F, AVX2 and the baseline SSE2), and the loader picks
+ * the widest clone the CPU runs. An IEEE add, subtract, multiply or divide
+ * rounds each element alike at every width, and -ffp-contract=off holds for
+ * every clone, so all clones give the same bits. tests/test_operators.py
+ * builds each clone alone and checks it against the reference.
+ *
  * A missing Dirichlet neighbour is not branched around but read as an
  * identity: the Laplacian subtracts +0.0 and the mass sweeps add -0.0. Under
  * round-to-nearest x - (+0.0) and x + (-0.0) are x for every double, -0.0
@@ -30,6 +37,19 @@
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
+
+/* Clones are picked by the loader's ifunc resolver, so they need x86-64,
+ * glibc (whose headers above define __GLIBC__) and a compiler that knows
+ * target_clones. Elsewhere KERNEL is empty and each kernel is built once, for
+ * the compiler's default target. */
+#if defined(__has_attribute)
+#if __has_attribute(target_clones) && defined(__x86_64__) && defined(__GLIBC__)
+#define KERNEL __attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+#endif
+#ifndef KERNEL
+#define KERNEL
+#endif
 
 #define LINE 256
 
@@ -52,6 +72,7 @@ static inline double lap(double diag, double x, double q0, double q1, double q2,
 
 /* out = A_d u. diag = 2d and h2 = h**2 come from the caller, computed as the
  * numpy path computes them. */
+KERNEL
 void masspcg_laplacian(int64_t d, int64_t n, const double *restrict u, double *restrict out,
                        double diag, double h2)
 {
@@ -103,6 +124,7 @@ static void mass_across(double *restrict dst, const double *mid, const double *n
  * neighbour on each side, -0.0 past the line's ends; then the sweep along
  * the line from y into out, times s. Each sweep is rounded to ((4*x + next) + prev) * c.
  * c = h/6 and s = h**(2-d) come from the caller. */
+KERNEL
 void masspcg_mass(int64_t d, int64_t n, const double *restrict u, double *restrict out,
                   double c, double s, double *restrict scratch)
 {
@@ -140,6 +162,7 @@ void masspcg_mass(int64_t d, int64_t n, const double *restrict u, double *restri
 
 /* The residual update r = r - Ap*alpha over N values, each product rounded
  * before the difference as numpy rounds r - Ap*alpha. */
+KERNEL
 void masspcg_r_update(int64_t N, double *restrict r, const double *Ap, double alpha)
 {
     for (ptrdiff_t k = 0; k < N; k++)
@@ -149,6 +172,7 @@ void masspcg_r_update(int64_t N, double *restrict r, const double *Ap, double al
 /* The solution and direction updates x = x + p*alpha, then p = p*beta + z, in
  * one pass over N values that reads p once. z is not restrict: it may be r or
  * share Ap's buffer. */
+KERNEL
 void masspcg_xp_update(int64_t N, double *restrict x, double *restrict p, const double *z,
                        double alpha, double beta)
 {

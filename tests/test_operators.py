@@ -1,5 +1,9 @@
+import functools
+import re
 import subprocess
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,11 @@ from masspcg import (
     eigenvalue,
 )
 from oracle import apply_operator, reference_laplacian, reference_mass, sine_vector
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__ as CPU_FEATURES
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__ as CPU_FEATURES
 
 ALL_KINDS = list(OperatorKind)
 SMALL_SPECS = [GridSpec(d, n) for d in (1, 2, 3) for n in (1, 2, 3, 5, 8)]
@@ -215,14 +224,47 @@ BITWISE_SPECS = (
 )
 
 
+CLONES = re.compile(r"__attribute__\(\(target_clones\(([^)]*)\)\)\)")
+
+
+def single_target_source(target):
+    """The kernel source with its clone list cut to one ``target``, or, for
+    ``"default"``, without the attribute: the build of a host without clones."""
+    source = native.SOURCE.read_text()
+    assert len(CLONES.findall(source)) == 1, "the kernel source has no single clone list"
+    return CLONES.sub("" if target == "default" else f'__attribute__((target("{target}")))', source)
+
+
+@functools.cache
+def clone_libraries():
+    """One library per clone of the kernel source that this CPU runs, each
+    built with that clone alone, so the bitwise tests reach every clone and
+    not only the one the loader picks here. Built once per session."""
+    targets = [name.strip().strip('"') for name in CLONES.search(native.SOURCE.read_text())[1].split(",")]
+    directory = tempfile.TemporaryDirectory(prefix="masspcg-clones-")
+    libraries = []
+    for target in targets:
+        if target != "default" and not CPU_FEATURES.get(target.upper(), False):
+            continue
+        source = Path(directory.name) / f"_stencils-{target}.c"
+        source.write_text(single_target_source(target))
+        subprocess.run([*native.compiler(), *native.CFLAGS, "-o", str(source.with_suffix(".so")),
+                        str(source)], check=True, timeout=300, capture_output=True)
+        library = native.open_library(source.with_suffix(".so"))
+        library.directory = directory  # removed with the last library, when the session ends
+        libraries.append(library)
+    return tuple(libraries)
+
+
 def stencil_kernels():
     """Values of ``operators._kernels`` to test: the compiled library when a
-    compiler is found, then the numpy sweeps."""
+    compiler is found and the library of each clone this CPU runs, then the
+    numpy sweeps."""
     if native.compiler() is None:
         return [sweeps]
     lib = operators._backend()
     assert lib is not sweeps, "a C compiler is on PATH but the stencils did not build"
-    return [lib, sweeps]
+    return [lib, *clone_libraries(), sweeps]
 
 
 def same_bits(a, b):

@@ -332,7 +332,7 @@ def test_mass_drift_guard_through_the_shared_buffer(monkeypatch):
 def test_every_exit_path_keeps_its_bits(spec, tol, max_iter, precondition, outcome, digest,
                                         monkeypatch):
     # the solution, residual history and outcome of each way a solve ends, on
-    # both backends; x is updated a pass after r, so an exit that skipped
+    # every backend and clone; x is updated a pass after r, so an exit that skipped
     # bringing it up to date would change the solution's bits (digests
     # recorded when x and r were updated in one step)
     b = np.ones(spec.size)

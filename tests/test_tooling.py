@@ -16,6 +16,7 @@ import pytest
 
 import masspcg._native as native
 import masspcg._sweeps as sweeps
+from test_operators import single_target_source
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -60,15 +61,22 @@ def test_stencil_source_ships_with_the_package():
     assert (importlib.resources.files("masspcg") / "_stencils.c").is_file()
 
 
-def test_kernel_source_builds_without_warnings(tmp_path):
+@pytest.mark.parametrize("variant", ["shipped", "without-clones"])
+def test_kernel_source_builds_without_warnings(variant, tmp_path):
     # the kernel is built by whichever C compiler a host has, so it stays
     # warning-free standard C: a compiler without some GNU extension would
-    # fail the build, and the numpy fallback would serve without a word
+    # fail the build, and the numpy fallback would serve without a word. A
+    # host without target_clones builds the source with KERNEL empty, which
+    # the variant without the attribute stands for
     command = native.compiler()
     if command is None:
         pytest.skip("no C compiler on PATH")
+    source = native.SOURCE
+    if variant == "without-clones":
+        source = tmp_path / "_stencils.c"
+        source.write_text(single_target_source("default"))
     result = subprocess.run([*command, *native.CFLAGS, "-std=c99", "-pedantic", "-Wall", "-Wextra",
-                             "-Werror", "-o", str(tmp_path / "_stencils.so"), str(native.SOURCE)],
+                             "-Werror", "-o", str(tmp_path / "_stencils.so"), str(source)],
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
 
@@ -92,7 +100,10 @@ def test_every_exported_kernel_is_declared():
     for name, params in exported.items():
         assert len(params.split(",")) == len(native.SIGNATURES[name]), name
         assert [c_argtype(param) for param in params.split(",")] == native.SIGNATURES[name], name
-    assert not re.search(r"^(?!static|void masspcg_)\w[\w\s*]*\bmasspcg_\w+\(", source, re.M)
+    # every kernel is cloned: KERNEL stands on its own line above it, and is
+    # the one line a masspcg_ definition may have above its own
+    assert len(re.findall(r"^KERNEL\nvoid masspcg_", source, re.M)) == len(exported)
+    assert not re.search(r"^(?!static|(?:KERNEL\n)?void masspcg_)\w[\w\s*]*\bmasspcg_\w+\(", source, re.M)
 
 
 def test_numpy_fallback_implements_the_kernel_table():
