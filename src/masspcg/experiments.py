@@ -185,11 +185,6 @@ def table2_rows(
     return rows
 
 
-def _fmt_value(x: float) -> str:
-    # repr of a float round-trips exactly, so data files are bit-faithful
-    return repr(float(x))
-
-
 def _fmt_fixed(x: float, places: int = 4) -> str:
     return f"{x:.{places}f}"
 
@@ -202,15 +197,16 @@ ITERATION_HEADERS = ("d", "n", "mtx-size", "itn-unprec", "itn-prec", "th-itn-rat
 
 def spectrum_cells(kind: OperatorKind, spec: GridSpec) -> list[tuple[str, str]]:
     """(index, eigenvalue) string rows of the sorted spectrum, 1-based rank."""
-    values = full_spectrum(kind, spec)
-    return [(str(rank), _fmt_value(v)) for rank, v in enumerate(values, start=1)]
+    # repr of a float round-trips exactly, so data files are bit-faithful
+    values = full_spectrum(kind, spec).tolist()
+    return [(str(rank), repr(v)) for rank, v in enumerate(values, start=1)]
 
 
 def residual_cells(report: SolveReport) -> list[tuple[str, str]]:
     """(iter, residual_norm) string rows from a recorded solve history."""
     if report.residual_history is None:
         raise ValueError("solve was run without record_history")
-    return [(str(i), _fmt_value(v)) for i, v in enumerate(report.residual_history)]
+    return [(str(i), repr(v)) for i, v in enumerate(report.residual_history.tolist())]
 
 
 def condition_cells(rows: list[RatioReport]) -> list[tuple[str, ...]]:

@@ -8,24 +8,17 @@ frequencies ``k_j in {1..n}``. With ``c_j = cos(pi*h*k_j)``:
 * mass:             ``(h**2/3**d) * prod_j (2 + c_j)``
 * preconditioned:   ``(2/3**d) * prod_j (2 + c_j) * sum_j (1 - c_j)``
 
-Spectrum extremes are found by an exact scan of the discrete spectrum (reduced
-well below full ``n**d`` enumeration, see below), never by trusting the
-continuous-maximizer approximation. The scan covers ``n**max(d-1, 1)``
-frequency tuples, capped at ``SCAN_CAP``. A per-dimension closed-form condition
-number for the preconditioned operator exists (evaluate the symmetric tuple at
-the integer part of the continuous maximizer position); it is reported, checked
-against the scan, and any disagreement is surfaced in
-:class:`ClosedFormCheck` rather than silently absorbed. The disagreement is
-real for many grids with ``d >= 2``: the cosine set is symmetric about zero, so
-the true discrete maximum often occurs at an asymmetric frequency tuple that
-mixes ``k`` and ``n+1-k``, which the symmetric closed form cannot reach.
+Spectrum extremes come from an exact scan of the discrete spectrum, never
+from the continuous-maximizer approximation; ``SCAN_CAP`` bounds the grids
+it takes. The symmetric closed-form preconditioned condition number is
+reported beside the scan's in :class:`ClosedFormCheck`, never in its place:
+the cosine set is symmetric about zero, so for many grids with ``d >= 2``
+the discrete maximum sits at an asymmetric tuple mixing ``k`` and ``n+1-k``.
 
-Scan correctness rests on per-coordinate structure: with all other coordinates
-fixed, each eigenvalue is either monotone (Laplacian, mass) or a concave
-parabola (preconditioned) in the remaining cosine, so minima live on corner
-tuples and maxima next to the per-coordinate parabola vertex: one broadcast
-loop over the other ``d-1`` coordinates, the same for d = 1, 2 and 3, finds the
-maximum.
+Per coordinate, each eigenvalue is monotone (Laplacian, mass) or a concave
+parabola (preconditioned) in its cosine, so minima sit on corner tuples and
+maxima next to the parabola vertex, where a row-wise AM-GM bound leaves one
+or two rows to scan for d >= 2 (see :func:`_preconditioned_max`).
 """
 
 from __future__ import annotations
@@ -48,7 +41,7 @@ CLOSED_FORM_RTOL = 1e-12
 #: Limit of the condition-number ratio r = kappa/kappa_p as h -> 0, by dimension.
 ASYMPTOTIC_RATIO_LIMIT = {1: 8 / 3, 2: 9 / 2, 3: 512 / 81}
 
-#: Cap on the extreme-eigenvalue scan size, ``n**max(d-1, 1)`` frequency tuples.
+#: Cap on ``n**max(d-1, 1)``: the grids the extreme-eigenvalue scan takes.
 SCAN_CAP = 2**24
 
 # Block size (in frequency tuples) of the vertex scan; fixed for determinism.
@@ -190,41 +183,50 @@ def _preconditioned_max(spec: GridSpec) -> tuple[int, ...]:
 
     For fixed other coordinates the eigenvalue is ``const * (2+x)(K-x)`` in the
     remaining cosine ``x``, a concave parabola, so the per-coordinate discrete
-    argmax is one of the two cosines bracketing the vertex ``(K-2)/2``. One
-    broadcast loop applies that reduction to all ``n**(d-1)`` assignments of
-    the other coordinates (a single one in 1D), an exact
-    ``O(n**(d-1) log n)`` search in blocks of about ``_SCAN_CHUNK`` tuples;
-    :func:`spectrum_report` caps ``n**max(d-1, 1)`` at ``SCAN_CAP``. Ties keep
-    the first maximum found.
+    argmax is one of the two cosines bracketing the vertex ``(K-2)/2``. For
+    d >= 2 a row fixes the first other cosine ``y`` too; AM-GM over the ``d``
+    factors left (sum ``3d-2-y``) bounds it by ``(2+y) * ((3d-2-y)/d)**d``.
+    Only rows whose bound times ``1 + 1e-12`` reaches the best value of the
+    row of largest bound are scanned (rounding lifts a value over its bound by
+    a few ulps at most). No skipped row holds a maximum, and kept rows keep
+    the full scan's blocks, offset order (0, then -1) and arithmetic, so the
+    first maximum found is the full scan's argmax.
     """
     n, d, top = spec.n, spec.d, spec.n
     if d == 1:
-        # the one scan needs only the cosines around the vertex -1/2, at
-        # k = 2/(3h)
+        # 1D needs only the cosines around the vertex -1/2, at k = 2/(3h)
         top = min(n, int(2.0 / (3.0 * spec.h)) + 4)
         cs = _cosines(spec, np.arange(top, max(top - 8, 0), -1))
     else:
         cs = axis_cosines(spec)[::-1]
     # ascending: position i holds k = top - i
-    others = list(np.meshgrid(*([cs] * (d - 1)), indexing="ij", sparse=True))
+    others = list(np.meshgrid(*([cs] * (d - 1)), indexing="ij", sparse=True, copy=False))
     stride = n ** max(d - 2, 0)  # tuples per position of the first other coordinate
     rows = max(1, _SCAN_CHUNK // stride)
-    best_val, best = -np.inf, ()
-    for start in range(0, n if others else 1, rows):
+
+    def scan(sel):  # (best value, its positions) per offset, over the rows sel
         s_other, p_other = 0.0, 1.0
-        # only the first other coordinate is cut into blocks
-        for o in [o[start : start + rows] for o in others[:1]] + others[1:]:
+        for o in [o[sel] for o in others[:1]] + others[1:]:
             s_other = s_other + o
             p_other = p_other * (2.0 + o)
         pos = np.searchsorted(cs, (d - s_other - 2.0) / 2.0)
         for off in (0, -1):
             j = np.clip(pos + off, 0, len(cs) - 1)
-            x = cs[j]
-            lam = np.ravel((2.0 + x) * p_other * (d - s_other - x))
+            lam = np.ravel((2.0 + cs[j]) * p_other * (d - s_other - cs[j]))
             i = int(np.argmax(lam))
-            if lam[i] > best_val:
-                best_val = lam[i]
-                best = (np.ravel(j)[i], *np.unravel_index(start * stride + i, (n,) * (d - 1)))
+            flat = sel[i // stride] * stride + i % stride
+            yield lam[i], (np.ravel(j)[i], *np.unravel_index(flat, (n,) * (d - 1)))
+
+    keep = np.zeros(1, dtype=np.intp)  # 1D: the one scan
+    if others:
+        bound = (2.0 + cs) * ((3 * d - 2 - cs) / d) ** d
+        floor = max(v for v, _ in scan(keep + np.argmax(bound)))
+        keep = np.flatnonzero(bound * (1.0 + 1e-12) >= floor)
+    best_val, best = -np.inf, ()
+    for block in sorted(set(keep // rows)):  # np.unique would import numpy.ma
+        for val, where in scan(keep[keep // rows == block]):
+            if val > best_val:
+                best_val, best = val, where
     return tuple(sorted(top - int(i) for i in best))
 
 
@@ -248,15 +250,13 @@ def closed_form_preconditioned_kappa(spec: GridSpec) -> tuple[int, float]:
 def spectrum_report(kind: OperatorKind, spec: GridSpec) -> SpectrumReport:
     """Extreme eigenvalues, their frequency tuples, and the condition number.
 
-    Extremes come from an exact scan of the discrete spectrum: the Laplacian
-    and mass eigenvalues are monotone per axis, so their extremes sit at the
-    all-1 / all-n tuples; the preconditioned minimum sits on a corner tuple and
-    its maximum is located by the per-coordinate parabola-vertex scan. For the
-    preconditioned operator the report also carries the closed-form condition
-    number and whether it agrees with the scan (see :class:`ClosedFormCheck`).
+    The Laplacian and mass extremes sit at the all-1 / all-n tuples, the
+    preconditioned minimum on a corner tuple and its maximum where
+    :func:`_preconditioned_max` finds it; the preconditioned report also
+    carries the closed-form check (see :class:`ClosedFormCheck`).
 
-    Raises SpectrumCapError, before allocating anything, when the scan's
-    ``n**max(d-1, 1)`` frequency tuples exceed ``SCAN_CAP``.
+    Raises SpectrumCapError, before allocating anything, when
+    ``n**max(d-1, 1)`` exceeds ``SCAN_CAP``, a bound on the grid, not the work.
     """
     n, d = spec.n, spec.d
     if n ** max(d - 1, 1) > SCAN_CAP:

@@ -15,6 +15,10 @@ array at once, one pass per neighbour. They are the bitwise reference: the
 compiled kernels and the numpy fallback of ``masspcg.operators`` make the same
 floating-point operations in the same order per element, so they must match
 these bit for bit on any grid size, including grids far past the dense cap.
+
+``full_scan_argmax`` is the unpruned vertex scan of the preconditioned
+spectrum over all ``n**(d-1)`` tuples, the reference for the pruned scan in
+``masspcg.spectrum``.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+import masspcg.spectrum as spectrum
 from masspcg.grid import GridSpec
 from masspcg.operators import apply_laplacian, apply_mass
 from masspcg.spectrum import OperatorKind
@@ -158,3 +163,41 @@ def rayleigh_eigenvalues(kind: OperatorKind, spec: GridSpec) -> list[RayleighEig
     for col, k in enumerate(itertools.product(range(1, spec.n + 1), repeat=spec.d)):
         out.append(RayleighEigenvalue(index=k, value=float(values[col]), residual=float(residuals[col])))
     return out
+
+
+def full_scan_argmax(spec: GridSpec) -> tuple[int, ...]:
+    """Argmax frequency tuple of the preconditioned spectrum by the full scan.
+
+    The parabola-vertex reduction over every assignment of the other ``d-1``
+    coordinates, in blocks of ``spectrum._SCAN_CHUNK`` tuples, offset 0
+    before -1, the first maximum kept.
+    """
+    n, d, top = spec.n, spec.d, spec.n
+    if d == 1:
+        # the one scan needs only the cosines around the vertex -1/2, at
+        # k = 2/(3h)
+        top = min(n, int(2.0 / (3.0 * spec.h)) + 4)
+        cs = spectrum._cosines(spec, np.arange(top, max(top - 8, 0), -1))
+    else:
+        cs = spectrum.axis_cosines(spec)[::-1]
+    # ascending: position i holds k = top - i
+    others = list(np.meshgrid(*([cs] * (d - 1)), indexing="ij", sparse=True))
+    stride = n ** max(d - 2, 0)  # tuples per position of the first other coordinate
+    rows = max(1, spectrum._SCAN_CHUNK // stride)
+    best_val, best = -np.inf, ()
+    for start in range(0, n if others else 1, rows):
+        s_other, p_other = 0.0, 1.0
+        # only the first other coordinate is cut into blocks
+        for o in [o[start : start + rows] for o in others[:1]] + others[1:]:
+            s_other = s_other + o
+            p_other = p_other * (2.0 + o)
+        pos = np.searchsorted(cs, (d - s_other - 2.0) / 2.0)
+        for off in (0, -1):
+            j = np.clip(pos + off, 0, len(cs) - 1)
+            x = cs[j]
+            lam = np.ravel((2.0 + x) * p_other * (d - s_other - x))
+            i = int(np.argmax(lam))
+            if lam[i] > best_val:
+                best_val = lam[i]
+                best = (np.ravel(j)[i], *np.unravel_index(start * stride + i, (n,) * (d - 1)))
+    return tuple(sorted(top - int(i) for i in best))

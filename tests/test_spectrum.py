@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from masspcg import (
     ratio_report,
     spectrum_report,
 )
+from oracle import full_scan_argmax
 
 ALL_KINDS = list(OperatorKind)
 
@@ -241,3 +243,71 @@ def test_multi_block_scan_matches_single_block(n, monkeypatch):
         blocked = spectrum_report(OperatorKind.PRECONDITIONED, spec)
         assert blocked.argmax == whole.argmax
         assert blocked.kappa == whole.kappa
+
+
+# the pruned scan against the full one: every 2D and 3D size up to a limit,
+# the 3D sizes around the benchmark's and 2D far past them
+ORACLE_SIZES = {
+    "2d-1..600": [(2, n) for n in range(1, 601)],
+    "3d-1..160": [(3, n) for n in range(1, 161)],
+    "3d-large": [(3, n) for n in (255, 256, 511, 512, 1023, 1024, 2047, 2048)],
+    "2d-large": [(2, 2**16), (2, 2**20)],
+}
+
+
+@pytest.mark.parametrize("sizes", ORACLE_SIZES.values(), ids=ORACLE_SIZES)
+def test_pruned_scan_matches_full_scan(sizes):
+    for d, n in sizes:
+        spec = GridSpec(d, n)
+        assert spectrum._preconditioned_max(spec) == full_scan_argmax(spec), (d, n)
+
+
+@pytest.mark.parametrize("n", [5, 17, 64])
+def test_pruned_scan_keeps_the_block_tie_order(n, monkeypatch):
+    # with small blocks the first maximum found depends on the block order
+    spec = GridSpec(3, n)
+    for chunk in (1, 7, 64):
+        monkeypatch.setattr(spectrum, "_SCAN_CHUNK", chunk)
+        assert spectrum._preconditioned_max(spec) == full_scan_argmax(spec)
+
+
+def full_scan_row_maxima(spec):
+    # the largest value the full scan computes in each row (position of the
+    # first other coordinate), ascending cosines, both vertex offsets
+    n, d = spec.n, spec.d
+    cs = spectrum.axis_cosines(spec)[::-1]
+    s_other, p_other = 0.0, 1.0
+    for o in np.meshgrid(*([cs] * (d - 1)), indexing="ij", sparse=True):
+        s_other = s_other + o
+        p_other = p_other * (2.0 + o)
+    pos = np.searchsorted(cs, (d - s_other - 2.0) / 2.0)
+    rows = []
+    for off in (0, -1):
+        x = cs[np.clip(pos + off, 0, n - 1)]
+        rows.append(((2.0 + x) * p_other * (d - s_other - x)).reshape(n, -1).max(axis=1))
+    return cs, np.maximum(*rows)
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 41), (2, 64), (2, 1001), (2, 65536),
+                                  (2, 2**20 + 1), (3, 1), (3, 74), (3, 128), (3, 255), (3, 512)])
+def test_am_gm_bound_dominates_every_row(d, n):
+    # the row bound (2+y)((3d-2-y)/d)**d against the row's computed values: in
+    # floating point a value can pass its bound, by a few ulps where the bound
+    # is nearly attained (2D odd n has the exact tie at y = 0), but by far less
+    # than the scan's 1e-12 margin, which therefore never decides a row
+    cs, row_max = full_scan_row_maxima(GridSpec(d, n))
+    bound = (2.0 + cs) * ((3 * d - 2 - cs) / d) ** d
+    excess = (row_max - bound) / bound
+    assert excess.max() <= 1e-14
+
+
+def test_3d_condition_scan_stays_small():
+    # the full scan held n**2 tuples per offset at once (256 MiB traced at
+    # n = 4096, in four blocks); the pruned one holds a row or two of n
+    tracemalloc.start()
+    try:
+        spectrum_report(OperatorKind.PRECONDITIONED, GridSpec(3, 4096))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
