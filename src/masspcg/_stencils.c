@@ -18,10 +18,10 @@
  * every clone, so all clones give the same bits. tests/test_operators.py
  * builds each clone alone and checks it against the reference.
  *
- * A missing Dirichlet neighbour is not branched around but read as an
- * identity: the Laplacian subtracts +0.0 and the mass sweeps add -0.0. Under
- * round-to-nearest x - (+0.0) and x + (-0.0) are x for every double, -0.0
- * included, so each sweep is one loop with the numpy path's bits.
+ * A missing Dirichlet neighbour line, and each axis absent in 1D and 2D, is
+ * read as an identity, not branched around: the Laplacian subtracts +0.0 and
+ * the mass sweeps add -0.0. Under round-to-nearest x - (+0.0) and x + (-0.0)
+ * are x for every double, -0.0 included: one loop serves every d, same bits.
  *
  * The grid is viewed as m0 planes of m1 lines of n contiguous values:
  * (1, 1, n) in 1D, (1, n, n) in 2D and (n, n, n) in 3D. The numpy axes map to
@@ -63,7 +63,7 @@ static const double negzeros[LINE + 2] = {NEG64, NEG64, NEG64, NEG64, -0.0, -0.0
 
 /* One Laplacian value: diag*x minus the neighbour lines q0..q3 (axis 0 then
  * axis 1, +1 before -1), then the +1 and -1 neighbours along the line, over
- * h2. An absent axis passes 0.0, which the compiler folds away. */
+ * h2. An absent axis reads the +0.0 line, as an absent boundary line does. */
 static inline double lap(double diag, double x, double q0, double q1, double q2, double q3,
                          double next, double prev, double h2)
 {
@@ -88,16 +88,8 @@ void masspcg_laplacian(int64_t d, int64_t n, const double *restrict u, double *r
                 const double *q2 = i1 + 1 < m1 ? x + n : zeros, *q3 = i1 > 0 ? x - n : zeros;
                 /* the values whose line neighbours are both in u; then the line ends */
                 ptrdiff_t lo = a == 0, hi = a + len < n ? len : len - 1;
-                if (d == 3)
-                    for (ptrdiff_t k = lo; k < hi; k++)
-                        o[k] = lap(diag, x[k], q0[k], q1[k], q2[k], q3[k],
-                                   x[k + 1], x[k - 1], h2);
-                else if (d == 2)
-                    for (ptrdiff_t k = lo; k < hi; k++)
-                        o[k] = lap(diag, x[k], 0.0, 0.0, q2[k], q3[k], x[k + 1], x[k - 1], h2);
-                else
-                    for (ptrdiff_t k = lo; k < hi; k++)
-                        o[k] = lap(diag, x[k], 0.0, 0.0, 0.0, 0.0, x[k + 1], x[k - 1], h2);
+                for (ptrdiff_t k = lo; k < hi; k++)
+                    o[k] = lap(diag, x[k], q0[k], q1[k], q2[k], q3[k], x[k + 1], x[k - 1], h2);
                 if (a == 0)
                     o[0] = lap(diag, x[0], q0[0], q1[0], q2[0], q3[0],
                                n > 1 ? x[1] : 0.0, 0.0, h2);

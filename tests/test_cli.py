@@ -5,7 +5,9 @@ import pytest
 
 import masspcg.cli as cli
 import masspcg.experiments as experiments
+import masspcg.solver as solver
 from masspcg.cli import EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+from test_solver import negated
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +107,16 @@ def test_solve_zr_underflow_is_non_convergence(tmp_path, capsys):
     assert err == f"no convergence within {len(lines) - 2} iterations\n"
 
 
+def test_solve_breakdown_exit_code(capsys, monkeypatch):
+    # a negated Laplacian breaks CG down on its first <p, Ap>: exit 2, no
+    # table, and one error line
+    monkeypatch.setattr(solver, "apply_laplacian", negated(solver.apply_laplacian))
+    code, out, err = run_cli(capsys, "solve", "--dim", "2", "--n", "4")
+    assert (code, out) == (EXIT_NO_CONVERGENCE, "")
+    assert err.startswith("error: <p, Ap> = -") and err.endswith(" is not positive\n")
+    assert err.count("\n") == 1
+
+
 def test_solve_memory_check_before_allocation(capsys):
     # about 1 TB per work vector: refused before the right-hand side exists
     start = time.perf_counter()
@@ -198,6 +210,17 @@ def test_table2_single_cell(capsys):
     cells = lines[1].split(",")
     assert cells[:3] == ["2", "16", "256"]
     assert cells[5] == "2.12"
+
+
+def test_table2_selects_cases_in_order(capsys, monkeypatch):
+    # --dim alone keeps that dimension's cases in table order; no flag keeps all
+    cases = ((2, 5), (3, 2), (2, 3), (3, 3))
+    monkeypatch.setattr(cli, "TABLE2_CASES", cases)
+    for argv, expected in [(("--dim", "2"), [(2, 5), (2, 3)]), ((), list(cases))]:
+        code, out, _ = run_cli(capsys, "table2", *argv)
+        assert code == EXIT_OK
+        rows = [tuple(map(int, line.split(",")[:2])) for line in out.splitlines()[1:]]
+        assert rows == expected
 
 
 def test_table2_n_requires_dim(capsys):

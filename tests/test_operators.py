@@ -445,17 +445,30 @@ def test_updates_reject_written_vectors_sharing_memory(monkeypatch):
         operators.bind_updates(x, r, p, block[:4], block[2:6])
 
 
-def test_failed_load_falls_back_to_numpy_bits(monkeypatch):
-    def fail():
-        raise OSError("cannot load")
-
+def assert_first_call_falls_back_to_numpy_bits(monkeypatch):
     monkeypatch.setattr(operators, "_kernels", None)
-    monkeypatch.setattr(native, "load_library", fail)
     for spec in [GridSpec(1, 300), GridSpec(2, 37), GridSpec(3, 21)]:
         u = signed_zero_vector(spec, np.random.default_rng(spec.size))
         assert same_bits(apply_laplacian(spec, u), reference_laplacian(spec, u))
         assert same_bits(apply_mass(spec, u), reference_mass(spec, u))
     assert operators._kernels is sweeps
+
+
+def test_failed_load_falls_back_to_numpy_bits(monkeypatch):
+    def fail():
+        raise OSError("cannot load")
+
+    monkeypatch.setattr(native, "load_library", fail)
+    assert_first_call_falls_back_to_numpy_bits(monkeypatch)
+
+
+def test_no_compiler_falls_back_to_numpy_bits(monkeypatch):
+    # neither sysconfig's CC nor cc is on PATH
+    monkeypatch.setattr(native.shutil, "which", lambda *args, **kwargs: None)
+    assert native.compiler() is None
+    with pytest.raises(FileNotFoundError, match="no C compiler"):
+        native.load_library()
+    assert_first_call_falls_back_to_numpy_bits(monkeypatch)
 
 
 @pytest.mark.parametrize("spec", [GridSpec(3, 64), GridSpec(2, 512)], ids=str)

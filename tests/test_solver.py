@@ -9,6 +9,7 @@ import masspcg.operators as operators
 import masspcg.solver as solver
 from masspcg import (
     GridSpec,
+    NumericalBreakdownError,
     SolveConfig,
     apply_laplacian,
     apply_mass,
@@ -252,6 +253,38 @@ def test_zr_underflow_stops_unconverged():
     assert (report.iterations, report.converged) == (8, False)
     last = report.residual_history[-1]
     assert residual_norm(spec, report.solution, b) == pytest.approx(last, rel=0.1, abs=0.0)
+
+
+def negated(operator):
+    """``operator`` with its result negated in place: negative definite, which
+    no SPD operator is, so CG must break down rather than iterate."""
+
+    def apply(*args, **kwargs):
+        out = operator(*args, **kwargs)
+        return np.negative(out, out=out)
+
+    return apply
+
+
+@pytest.mark.parametrize("precondition", ["none", "mass"])
+def test_non_finite_rhs_breaks_down(precondition):
+    spec = GridSpec(2, 4)
+    b = np.ones(spec.size)
+    b[5] = np.nan
+    with pytest.raises(NumericalBreakdownError, match="non-finite residual norm"):
+        cg_solve(spec, b, config=SolveConfig(precondition=precondition))
+
+
+@pytest.mark.parametrize("operator, precondition, inner", [
+    ("apply_laplacian", "none", "<p, Ap>"),
+    ("apply_laplacian", "mass", "<p, Ap>"),
+    ("apply_mass", "mass", "<z, r>"),
+])
+def test_negative_definite_operator_breaks_down(operator, precondition, inner, monkeypatch):
+    monkeypatch.setattr(solver, operator, negated(getattr(solver, operator)))
+    spec = GridSpec(2, 4)
+    with pytest.raises(NumericalBreakdownError, match=rf"^{inner} = -\S+ is not positive$"):
+        cg_solve(spec, np.ones(spec.size), config=SolveConfig(precondition=precondition))
 
 
 def counted_calls(monkeypatch, names):
