@@ -1,5 +1,6 @@
 """Build and load the compiled kernels of ``_stencils.c``: the Laplacian and
-mass stencils and the two CG vector updates.
+mass stencils, the CG residual update, and the x and p update fused into the
+Laplacian.
 
 The loaded library is one implementation of the kernel table of
 ``SIGNATURES``; ``_sweeps`` is the other, with the same names, arguments and
@@ -90,7 +91,7 @@ SIGNATURES = {
     "laplacian": [_I64, _I64, _VEC, _VEC, _F64, _F64],
     "mass": [_I64, _I64, _VEC, _VEC, _F64, _F64, _VEC],
     "r_update": [_I64, _VEC, _VEC, _F64],
-    "xp_update": [_I64, _VEC, _VEC, _VEC, _F64, _F64],
+    "xp_laplacian": [_I64, _I64, _VEC, _VEC, _VEC, _VEC, _F64, _F64, _F64, _F64],
 }
 
 

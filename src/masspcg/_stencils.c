@@ -1,6 +1,6 @@
 /*
- * Single-pass Laplacian and mass stencils and the CG vector updates for
- * masspcg.operators.
+ * Single-pass Laplacian and mass stencils, the CG residual update, and the
+ * x and p update fused into the Laplacian sweep, for masspcg.operators.
  *
  * _native.py compiles this file the first time a kernel runs, and
  * operators.py calls it through ctypes; the numpy code of _sweeps.py is the
@@ -16,7 +16,9 @@
  * the widest clone the CPU runs. An IEEE add, subtract, multiply or divide
  * rounds each element alike at every width, and -ffp-contract=off holds for
  * every clone, so all clones give the same bits. tests/test_operators.py
- * builds each clone alone and checks it against the reference.
+ * builds each clone alone and checks it against the reference. The static
+ * helpers must be inlined into each clone: one left out of line is built
+ * for the baseline target alone, and tests/test_tooling.py checks for that.
  *
  * A missing Dirichlet neighbour line, and each axis absent in 1D and 2D, is
  * read as an identity, not branched around: the Laplacian subtracts +0.0 and
@@ -70,35 +72,74 @@ static inline double lap(double diag, double x, double q0, double q1, double q2,
     return (diag * x - q0 - q1 - q2 - q3 - next - prev) / h2;
 }
 
+/* The solution and direction updates x = x + p*alpha, then p = p*beta + z,
+ * over values lo..hi-1, in one pass that reads p once. z is not restrict: it
+ * may be r or share the Laplacian's out. */
+static inline void xp(double *restrict x, double *restrict p, const double *z, ptrdiff_t lo,
+                      ptrdiff_t hi, double alpha, double beta)
+{
+    for (ptrdiff_t k = lo; k < hi; k++) {
+        double pk = p[k];
+        x[k] = x[k] + pk * alpha;
+        p[k] = pk * beta + z[k];
+    }
+}
+
+/* out = A_d p, a line chunk at a time. Unless x is NULL, each chunk first runs
+ * the x and p update up to the last value of p the chunk reads, one neighbour
+ * reach ahead (a plane in 3D, a line in 2D, a value in 1D); z[j] is then read
+ * before out[j] is written, so z may share out's buffer. */
+static inline void sweep(int64_t d, int64_t n, double *restrict p, double *out, double diag,
+                         double h2, double *restrict x, const double *z, double alpha, double beta)
+{
+    ptrdiff_t m0 = d == 3 ? n : 1, m1 = d >= 2 ? n : 1, plane = m1 * n;
+    ptrdiff_t size = m0 * plane, reach = d == 3 ? plane : d == 2 ? n : 1, done = 0;
+    for (ptrdiff_t i0 = 0; i0 < m0; i0++) {
+        for (ptrdiff_t i1 = 0; i1 < m1; i1++) {
+            for (ptrdiff_t a = 0; a < n; a += LINE) {
+                ptrdiff_t len = n - a < LINE ? n - a : LINE, start = i0 * plane + i1 * n + a;
+                if (x) {
+                    ptrdiff_t ahead = size - start - len > reach ? start + len + reach : size;
+                    xp(x, p, z, done, ahead, alpha, beta);
+                    done = ahead;
+                }
+                const double *u = p + start;
+                double *o = out + start;
+                const double *q0 = i0 + 1 < m0 ? u + plane : zeros;
+                const double *q1 = i0 > 0 ? u - plane : zeros;
+                const double *q2 = i1 + 1 < m1 ? u + n : zeros, *q3 = i1 > 0 ? u - n : zeros;
+                /* the values whose line neighbours are both in p; then the line ends */
+                ptrdiff_t lo = a == 0, hi = a + len < n ? len : len - 1;
+                for (ptrdiff_t k = lo; k < hi; k++)
+                    o[k] = lap(diag, u[k], q0[k], q1[k], q2[k], q3[k], u[k + 1], u[k - 1], h2);
+                if (a == 0)
+                    o[0] = lap(diag, u[0], q0[0], q1[0], q2[0], q3[0],
+                               n > 1 ? u[1] : 0.0, 0.0, h2);
+                if (a + len == n)
+                    o[len - 1] = lap(diag, u[len - 1], q0[len - 1], q1[len - 1], q2[len - 1],
+                                     q3[len - 1], 0.0, n > 1 ? u[len - 2] : 0.0, h2);
+            }
+        }
+    }
+}
+
 /* out = A_d u. diag = 2d and h2 = h**2 come from the caller, computed as the
  * numpy path computes them. */
 KERNEL
 void masspcg_laplacian(int64_t d, int64_t n, const double *restrict u, double *restrict out,
                        double diag, double h2)
 {
-    ptrdiff_t m0 = d == 3 ? n : 1, m1 = d >= 2 ? n : 1, plane = m1 * n;
-    for (ptrdiff_t i0 = 0; i0 < m0; i0++) {
-        for (ptrdiff_t i1 = 0; i1 < m1; i1++) {
-            for (ptrdiff_t a = 0; a < n; a += LINE) {
-                ptrdiff_t len = n - a < LINE ? n - a : LINE, start = i0 * plane + i1 * n + a;
-                const double *x = u + start;
-                double *o = out + start;
-                const double *q0 = i0 + 1 < m0 ? x + plane : zeros;
-                const double *q1 = i0 > 0 ? x - plane : zeros;
-                const double *q2 = i1 + 1 < m1 ? x + n : zeros, *q3 = i1 > 0 ? x - n : zeros;
-                /* the values whose line neighbours are both in u; then the line ends */
-                ptrdiff_t lo = a == 0, hi = a + len < n ? len : len - 1;
-                for (ptrdiff_t k = lo; k < hi; k++)
-                    o[k] = lap(diag, x[k], q0[k], q1[k], q2[k], q3[k], x[k + 1], x[k - 1], h2);
-                if (a == 0)
-                    o[0] = lap(diag, x[0], q0[0], q1[0], q2[0], q3[0],
-                               n > 1 ? x[1] : 0.0, 0.0, h2);
-                if (a + len == n)
-                    o[len - 1] = lap(diag, x[len - 1], q0[len - 1], q1[len - 1], q2[len - 1],
-                                     q3[len - 1], 0.0, n > 1 ? x[len - 2] : 0.0, h2);
-            }
-        }
-    }
+    sweep(d, n, (double *)u, out, diag, h2, NULL, NULL, 0.0, 0.0);
+}
+
+/* x = x + p*alpha and p = p*beta + z, then out = A_d p, in one sweep that
+ * reads p once: the CG direction update fused into the next Laplacian. */
+KERNEL
+void masspcg_xp_laplacian(int64_t d, int64_t n, double *restrict x, double *restrict p,
+                          const double *z, double *out, double alpha, double beta, double diag,
+                          double h2)
+{
+    sweep(d, n, p, out, diag, h2, x, z, alpha, beta);
 }
 
 /* One sweep across lines or planes: dst = ((4*mid + next) + prev) * c over
@@ -161,16 +202,3 @@ void masspcg_r_update(int64_t N, double *restrict r, const double *Ap, double al
         r[k] = r[k] - Ap[k] * alpha;
 }
 
-/* The solution and direction updates x = x + p*alpha, then p = p*beta + z, in
- * one pass over N values that reads p once. z is not restrict: it may be r or
- * share Ap's buffer. */
-KERNEL
-void masspcg_xp_update(int64_t N, double *restrict x, double *restrict p, const double *z,
-                       double alpha, double beta)
-{
-    for (ptrdiff_t k = 0; k < N; k++) {
-        double pk = p[k];
-        x[k] = x[k] + pk * alpha;
-        p[k] = pk * beta + z[k];
-    }
-}

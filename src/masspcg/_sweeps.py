@@ -67,14 +67,18 @@ def r_update(size: int, r: np.ndarray, Ap: np.ndarray, alpha: float) -> None:
         rs -= np.multiply(Ap[a : a + CHUNK], alpha, out=t[: rs.size])
 
 
-def xp_update(size: int, x: np.ndarray, p: np.ndarray, z: np.ndarray, alpha: float, beta: float) -> None:
-    """``x += p*alpha``, rounded as in :func:`r_update`, then ``p = p*beta + z``."""
-    t = np.empty(min(CHUNK, size))
-    for a in range(0, size, CHUNK):
+def xp_laplacian(d: int, n: int, x: np.ndarray, p: np.ndarray, z: np.ndarray, out: np.ndarray,
+                 alpha: float, beta: float, diag: float, h2: float) -> None:
+    """``x += p*alpha``, rounded as in :func:`r_update`, then ``p = p*beta + z``,
+    then ``out = A_d p``; z may be ``out``, whole read before it is written."""
+    t = np.empty(min(CHUNK, x.size))
+    for a in range(0, x.size, CHUNK):
         xs, ps = x[a : a + CHUNK], p[a : a + CHUNK]
         xs += np.multiply(ps, alpha, out=t[: xs.size])
         ps *= beta
         ps += z[a : a + CHUNK]
+    del t  # freed first: the sweep's own temporaries would add to it
+    laplacian(d, n, p, out, diag, h2)
 
 
 def bind(*vectors) -> tuple:

@@ -52,9 +52,13 @@ class GridSpec:
 def check_vector(spec: GridSpec, u: np.ndarray, name: str = "u") -> np.ndarray:
     """Validate that ``u`` is a flat real vector of length ``spec.size``.
 
-    Returns a float64 view/copy of ``u``. Raises DimensionMismatchError on a
-    shape mismatch.
+    Returns a float64 view/copy of ``u``. Raises TypeError on a complex
+    vector, which the cast would silently drop to its real part, and
+    DimensionMismatchError on a shape mismatch.
     """
+    u = np.asarray(u)
+    if np.iscomplexobj(u):
+        raise TypeError(f"{name} is complex; a real vector is expected")
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (spec.size,):
         raise DimensionMismatchError(

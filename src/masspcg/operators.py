@@ -1,5 +1,6 @@
 """Matrix-free application of the Dirichlet Laplacian and the scaled mass
-operator, the CG vector updates, and the page-aligned allocator of new vectors.
+operator, the CG loop's kernels bound once per solve, and the page-aligned
+allocator of new vectors.
 
 Both operators act on flat vectors of length ``n**d`` and never assemble a
 matrix. Off-grid neighbors contribute zero (homogeneous Dirichlet closure), so
@@ -13,15 +14,17 @@ Scaling conventions on the unit domain with ``h = 1/(n+1)``:
   times a dimensional scale of ``h`` in 1D, ``1`` in 2D and ``1/h`` in 3D
   (i.e. ``h**(2-d)`` overall).
 
-The first call to a stencil or to :func:`bind_updates` compiles
+The first call to a stencil or to :func:`bind_kernels` compiles
 ``_stencils.c`` with the system C compiler and loads it through ctypes; later
 calls and processes reuse the cached library. Without a compiler, or when the
 build or load fails, the numpy fallback of ``_sweeps`` serves. The two are one
 kernel table with the same names and arguments (``_native.SIGNATURES``): each
 operator checks its operands, computes the rounded scalars and the scratch
-once, and makes one call to whichever serves; the CG updates are bound once
-per solve. Both give the bits of ``tests/oracle.py``, the bitwise reference.
-Nothing is compiled, loaded or parsed for either at import.
+once, and makes one call to whichever serves. A CG solve binds the four
+kernels of its loop once instead (:func:`bind_kernels`), the x and p update
+fused into the next Laplacian sweep, so its iterations make bare kernel calls.
+Both give the bits of ``tests/oracle.py``, the bitwise reference. Nothing is
+compiled, loaded or parsed for either at import.
 """
 
 from __future__ import annotations
@@ -67,16 +70,15 @@ def _vector(size: int, value=None) -> np.ndarray:
     return v
 
 
-def _check_buffers(size: int, written: tuple, read: tuple = ()) -> None:
-    """Reject vectors the kernels cannot take as bare pointers: each must be a
-    flat contiguous float64 ndarray of ``size`` entries, writeable if written."""
+def _check_buffers(size: int, written: tuple) -> None:
+    """Reject vectors the kernels cannot take as bare pointers to write: each
+    must be a flat contiguous writeable float64 ndarray of ``size`` entries."""
     shape = (size,)
-    for v in (*written, *read):
+    for v in written:
         if not isinstance(v, np.ndarray) or v.dtype != np.float64 or not v.flags.c_contiguous:
             raise ValueError("vectors must be contiguous float64 ndarrays")
         if v.shape != shape:
             raise DimensionMismatchError(f"a vector has shape {v.shape}, expected {shape}")
-    for v in written:
         if not v.flags.writeable:
             raise ValueError("written vectors must be writeable")
 
@@ -135,18 +137,26 @@ def apply_mass(spec: GridSpec, u: np.ndarray, out: np.ndarray | None = None) -> 
     return out
 
 
-def bind_updates(x: np.ndarray, r: np.ndarray, p: np.ndarray, Ap: np.ndarray, z: np.ndarray):
-    """The CG updates of one solve, their operands checked and converted once:
-    ``step(alpha)`` makes ``r -= Ap*alpha``, and ``direction(alpha, beta)``
-    ``x += p*alpha`` and then ``p = p*beta + z`` in one pass, all in place. All
-    five are flat contiguous float64 vectors of one length. x, r and p share no
-    memory with the others, but z may be r (plain CG) or share Ap's buffer."""
-    size = x.size
-    _check_buffers(size, (x, r, p), (Ap, z))
-    others = (r, p, Ap) if z is r else (r, p, Ap, z)
-    for i, v in enumerate((x, r, p)):
-        if any(np.may_share_memory(v, w) for w in others[i:]):
-            raise ValueError("x, r and p must not share memory with the other vectors")
+def bind_kernels(spec: GridSpec, x: np.ndarray, r: np.ndarray, p: np.ndarray, Ap: np.ndarray,
+                 z: np.ndarray) -> tuple:
+    """The kernels of a CG iteration on one solve's vectors, their operands
+    checked and bound and their scalars and scratch made once:
+    ``laplacian()`` makes ``Ap = A p``; ``xp_laplacian(alpha, beta)`` makes
+    ``x += p*alpha``, then ``p = p*beta + z``, then ``Ap = A p`` in one sweep;
+    ``step(alpha)`` makes ``r -= Ap*alpha``; ``mass()`` makes ``z = M r``, or
+    is None when z is r (plain CG). All five are flat contiguous float64
+    vectors of ``spec.size`` values; x, r, p and Ap share no memory, and z is
+    r, Ap, or apart from them."""
+    d, n, h = spec.d, spec.n, spec.h
+    _check_buffers(spec.size, (x, r, p, Ap, z))
+    apart = (x, r, p, Ap) if z is r or z is Ap else (x, r, p, Ap, z)
+    if any(np.may_share_memory(v, w) for i, v in enumerate(apart) for w in apart[i + 1 :]):
+        raise ValueError("x, r, p, Ap and a separate z must not share memory")
     kernels = _backend()
-    x, r, p, Ap, z = kernels.bind(x, r, p, Ap, z)
-    return partial(kernels.r_update, size, r, Ap), partial(kernels.xp_update, size, x, p, z)
+    scratch = () if z is r else (_vector(n ** (d - 1)),)
+    x, r, p, Ap, z, *scratch = kernels.bind(x, r, p, Ap, z, *scratch)
+    diag, h2, xp = 2.0 * d, h**2, kernels.xp_laplacian
+    return (partial(kernels.laplacian, d, n, p, Ap, diag, h2),
+            lambda alpha, beta: xp(d, n, x, p, z, Ap, alpha, beta, diag, h2),
+            partial(kernels.r_update, spec.size, r, Ap),
+            partial(kernels.mass, d, n, r, z, h / 6.0, h ** (2 - d), *scratch) if scratch else None)

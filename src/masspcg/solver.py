@@ -7,11 +7,14 @@ residual is recomputed from scratch once as a drift guard, and iteration
 resumes from the true residual in the unlikely case the recurrence had drifted
 past the threshold.
 
-A solve allocates its work vectors once and binds the vector updates to them
-(:func:`~masspcg.operators.bind_updates`). Mass PCG writes ``z = M r`` into
-the buffer of ``Ap = A p``: Ap is dead once r is updated, and z once p is; x
-lags r by one update, made only in the pass that updates p, unless the drift
-guard's candidate ``x + p*alpha`` converges and becomes x.
+A solve allocates its work vectors once and binds its loop's kernels to them
+(:func:`~masspcg.operators.bind_kernels`), so an iteration makes bare kernel
+calls; ``M r0`` and the drift guard call the operators by name. Mass PCG
+writes ``z = M r`` into the buffer of ``Ap = A p``: Ap is dead once r is
+updated, and z once p is. x and p lag r by one update, made in the Laplacian
+sweep of the next iteration; a solve stopped by the cap or by ``<z, r>``
+underflow adds the last ``p*alpha`` to x, and the drift guard's candidate
+``x + p*alpha`` becomes x when it converges.
 The inner products stay whole-vector ``dot`` calls, so no sum is reordered;
 ``||r||`` is ``sqrt(r·r)``, as ``norm2`` computes it, from the same ``r·r``
 that plain CG uses as ``<z, r>``.
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, check_vector, dot
-from .operators import _vector, apply_laplacian, apply_mass, bind_updates
+from .operators import _vector, apply_laplacian, apply_mass, bind_kernels
 
 
 class NumericalBreakdownError(RuntimeError):
@@ -74,7 +77,9 @@ class SolveReport:
     residual_history holds ``||r_j||`` for j = 0..iterations (None when not
     recorded); converged means the last residual tested was below tol.
     replacements counts the times the drift guard found the recomputed
-    residual still at or above tol, wrote it into r and resumed.
+    residual still at or above tol, wrote it into r and resumed. The solver
+    counts its own work: Laplacian and mass applications (``M r0`` included)
+    and drift-guard checks.
     """
 
     iterations: int
@@ -82,6 +87,9 @@ class SolveReport:
     residual_history: np.ndarray | None
     solution: np.ndarray
     replacements: int
+    laplacian_applications: int
+    mass_applications: int
+    drift_checks: int
 
 
 def _check_scalar(value: float, what: str) -> float:
@@ -144,22 +152,27 @@ def cg_solve(
 
     rr, res = _residual(r)
     history = [res]
-    iterations = replacements = 0
+    iterations = replacements = drift_checks = mass_applications = 0
     converged = res < cfg.tol
 
     rz = 0.0
     if not converged:
         Ap = _vector(spec.size)
         z = apply_mass(spec, r, out=Ap) if mass else r
+        mass_applications = int(mass)
         p = _vector(spec.size, z)
         rz = _inner_zr(r, z, rr)
-        step, direction = bind_updates(x, r, p, Ap, z)
+        laplacian, xp_laplacian, step, precondition = bind_kernels(spec, x, r, p, Ap, z)
 
     # rz stays 0.0 when r0 already passes; otherwise a zero <z, r> has
-    # underflowed at the attainable-accuracy floor: its beta = 0.0 still
-    # brings x up to date, and the solve stops unconverged
+    # underflowed at the attainable-accuracy floor, and the solve stops
+    # unconverged. From the second iteration on, the sweep that makes A p
+    # first brings x and p up to date with the last (alpha, beta).
     while rz > 0.0 and iterations < max_iter:
-        apply_laplacian(spec, p, out=Ap)
+        if iterations:
+            xp_laplacian(alpha, beta)
+        else:
+            laplacian()
         pAp = _check_scalar(dot(p, Ap), "<p, Ap>")
         if pAp <= 0.0:
             raise NumericalBreakdownError(f"<p, Ap> = {pAp} is not positive")
@@ -171,7 +184,8 @@ def cg_solve(
         if res < cfg.tol:
             # Drift guard: confirm with the from-scratch residual of x + p*alpha,
             # built in Ap's free buffer, written into r in place (z is r in plain
-            # CG); resume from it if the recurrence drifted, x left to direction.
+            # CG); resume from it if the recurrence drifted, x left to the sweep.
+            drift_checks += 1
             candidate = np.add(x, np.multiply(p, alpha, out=Ap), out=Ap)
             np.subtract(b, apply_laplacian(spec, candidate, out=r), out=r)
             rr, res = _residual(r)
@@ -181,10 +195,15 @@ def cg_solve(
             history[-1] = res
             replacements += 1
         if mass:
-            apply_mass(spec, r, out=z)
+            precondition()
+            mass_applications += 1
         rz_new = _inner_zr(r, z, rr)
-        direction(alpha, rz_new / rz)
+        beta = rz_new / rz
         rz = rz_new
+    if iterations and not converged:
+        # stopped on the cap or on <z, r> underflow: x still lacks p*alpha,
+        # added as the drift guard adds it; Ap and z are dead
+        x += np.multiply(p, alpha, out=Ap)
 
     return SolveReport(
         iterations=iterations,
@@ -192,4 +211,7 @@ def cg_solve(
         residual_history=np.asarray(history) if cfg.record_history else None,
         solution=x,
         replacements=replacements,
+        laplacian_applications=iterations + drift_checks,
+        mass_applications=mass_applications,
+        drift_checks=drift_checks,
     )

@@ -5,9 +5,8 @@ import pytest
 
 import masspcg.cli as cli
 import masspcg.experiments as experiments
-import masspcg.solver as solver
 from masspcg.cli import EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
-from test_solver import negated
+from test_solver import counted_kernels, negating
 
 
 def run_cli(capsys, *argv):
@@ -110,7 +109,7 @@ def test_solve_zr_underflow_is_non_convergence(tmp_path, capsys):
 def test_solve_breakdown_exit_code(capsys, monkeypatch):
     # a negated Laplacian breaks CG down on its first <p, Ap>: exit 2, no
     # table, and one error line
-    monkeypatch.setattr(solver, "apply_laplacian", negated(solver.apply_laplacian))
+    counted_kernels(monkeypatch, negating(("laplacian", "xp_laplacian")))
     code, out, err = run_cli(capsys, "solve", "--dim", "2", "--n", "4")
     assert (code, out) == (EXIT_NO_CONVERGENCE, "")
     assert err.startswith("error: <p, Ap> = -") and err.endswith(" is not positive\n")

@@ -184,6 +184,16 @@ def test_wrong_size_input_rejected():
 
 
 @pytest.mark.parametrize("apply", [apply_laplacian, apply_mass])
+def test_complex_input_rejected(apply):
+    # the float64 cast would silently keep the real part alone
+    spec = GridSpec(2, 4)
+    with pytest.raises(TypeError, match="^u is complex"):
+        apply(spec, np.ones(spec.size) + 1j)
+    with pytest.raises(TypeError, match="^u is complex"):
+        apply(spec, np.ones(spec.size, dtype=np.complex64), out=np.zeros(spec.size))
+
+
+@pytest.mark.parametrize("apply", [apply_laplacian, apply_mass])
 def test_out_sharing_memory_with_input_rejected(apply):
     spec = GridSpec(2, 4)
     u = np.arange(spec.size, dtype=np.float64)
@@ -338,14 +348,16 @@ def test_fresh_out_starts_on_a_page(spec, monkeypatch):
 
 
 def expected_updates(x, r, p, Ap, z, alpha, beta):
-    # the numpy expressions the kernels must reproduce; p*beta + z takes the
-    # updated r as z when z is r, as plain CG does
+    # the numpy expressions the bound step and sweep must reproduce: r - Ap*alpha,
+    # then x + p*alpha, p*beta + z, taking the updated r as z when z is r, as
+    # plain CG does, and the reference Laplacian of that p
     x1, r1 = x + p * alpha, r - Ap * alpha
-    return x1, r1, p * beta + (r1 if z is r else z)
+    p1 = p * beta + (r1 if z is r else z)
+    return x1, r1, p1, reference_laplacian(GridSpec(1, x.size), p1)
 
 
 def shared_z(x, r, p, Ap, z, z_is):
-    # z apart, z the very r (plain CG), or z in Ap's buffer (mass PCG)
+    # z apart, z the very r (plain CG), or z the very Ap (mass PCG)
     return {"apart": z, "r": r, "Ap": Ap}[z_is]
 
 
@@ -364,14 +376,14 @@ def test_updates_match_numpy_bitwise(size, monkeypatch):
         for z_is in Z_CASES:
             x, r, p, Ap, z = (v.copy() for v in start)
             z = shared_z(x, r, p, Ap, z, z_is)
-            step, direction = operators.bind_updates(x, r, p, Ap, z)
+            _, xp_laplacian, step, _ = operators.bind_kernels(spec, x, r, p, Ap, z)
             # three steps bound once, each starting from the last one's
             # results, with a zero and a negative step among them
             for alpha, beta in [(0.37, 1.9), (0.0, -0.0), (-2.5, 0.125)]:
                 expected = expected_updates(x, r, p, Ap, z, alpha, beta)
                 step(alpha)
-                direction(alpha, beta)
-                for got, want in zip((x, r, p), expected):
+                xp_laplacian(alpha, beta)
+                for got, want in zip((x, r, p, Ap), expected):
                     assert same_bits(got, want), (kernels, z_is, alpha)
 
 
@@ -392,16 +404,58 @@ def test_updates_with_operands_just_apart_in_one_block(size, offset, monkeypatch
                 v[:] = value
             z = shared_z(x, r, p, Ap, z, z_is)
             expected = expected_updates(x, r, p, Ap, z, 0.37, 1.9)
-            step, direction = operators.bind_updates(x, r, p, Ap, z)
+            _, xp_laplacian, step, _ = operators.bind_kernels(GridSpec(1, size), x, r, p, Ap, z)
             step(0.37)
-            direction(0.37, 1.9)
-            for got, want in zip((x, r, p), expected):
+            xp_laplacian(0.37, 1.9)
+            for got, want in zip((x, r, p, Ap), expected):
                 assert same_bits(got, want), (kernels, z_is)
 
 
+# The fused x/p update and Laplacian runs the update one neighbour reach
+# ahead of the sweep, so the grids cross line chunk edges (n = 255 to 257 and
+# 513) in 1D and 2D and plane edges in 3D; 3D stops at n = 130, where each
+# vector takes 17.6 MB.
+XP_SPECS = (
+    [GridSpec(1, n) for n in (1, 2, 255, 256, 257, 513, 65537)]
+    + [GridSpec(2, n) for n in (1, 2, 255, 256, 257, 513)]
+    + [GridSpec(3, n) for n in (1, 2, 3, 17, 130)]
+)
+
+
+@pytest.mark.parametrize("spec", XP_SPECS, ids=str)
+def test_xp_laplacian_matches_reference_bitwise(spec, monkeypatch):
+    # x + p*alpha, then p*beta + z, then the reference Laplacian of that p,
+    # with z apart, z the very r (plain CG) and z in out's buffer (mass PCG)
+    rng = np.random.default_rng(spec.n + 10 * spec.d)
+    start = [signed_zero_vector(spec, rng) for _ in range(3)]
+    steps = [(0.37, -1.9), (0.0, -0.0)]
+    expected = []
+    x, p, z = start
+    for alpha, beta in steps:
+        x, p = x + p * alpha, p * beta + z
+        expected.append((x, p, reference_laplacian(spec, p)))
+    for kernels in stencil_kernels():
+        monkeypatch.setattr(operators, "_kernels", kernels)
+        for z_is in Z_CASES:
+            x, p, z = (v.copy() for v in start)
+            out = np.full(spec.size, np.nan)
+            r = z if z_is == "r" else np.zeros(spec.size)
+            z = out if z_is == "Ap" else z
+            _, xp_laplacian, _, _ = operators.bind_kernels(spec, x, r, p, out, z)
+            for (alpha, beta), want in zip(steps, expected):
+                if z_is == "Ap":
+                    out[:] = start[2]  # as mass PCG writes z = M r into out before each sweep
+                xp_laplacian(alpha, beta)
+                for got, value in zip((x, p, out), want):
+                    assert same_bits(got, value), (kernels, z_is, alpha)
+            assert z_is == "Ap" or same_bits(z, start[2]), (kernels, z_is)
+
+
 def test_updates_reject_bad_operands(monkeypatch):
-    # the kernels take bare pointers and trust the first vector's length, so
-    # every operand is checked when the updates are bound
+    # the kernels take bare pointers and trust the grid's size, so every
+    # operand is checked when the kernels are bound
+    spec = GridSpec(1, 4)
+
     def vectors(n=4):
         return [np.zeros(n) for _ in range(5)]
 
@@ -410,39 +464,44 @@ def test_updates_reject_bad_operands(monkeypatch):
     for kernels in stencil_kernels():
         monkeypatch.setattr(operators, "_kernels", kernels)
         with pytest.raises(DimensionMismatchError):
-            operators.bind_updates(*vectors()[:3], np.zeros(3), np.zeros(4))
+            operators.bind_kernels(spec, *vectors()[:3], np.zeros(3), np.zeros(4))
         with pytest.raises(DimensionMismatchError):
-            operators.bind_updates(*vectors()[:4], np.zeros(5))
+            operators.bind_kernels(spec, *vectors()[:4], np.zeros(5))
         with pytest.raises(DimensionMismatchError):
-            operators.bind_updates(*(np.zeros((2, 2)) for _ in range(5)))
+            operators.bind_kernels(spec, *(np.zeros((2, 2)) for _ in range(5)))
         with pytest.raises(ValueError, match="contiguous"):
-            operators.bind_updates(*vectors()[:3], np.zeros(8)[::2], np.zeros(4))
+            operators.bind_kernels(spec, *vectors()[:3], np.zeros(8)[::2], np.zeros(4))
         with pytest.raises(ValueError, match="float64"):
-            operators.bind_updates(*vectors()[:4], np.zeros(4, dtype=np.float32))
+            operators.bind_kernels(spec, *vectors()[:4], np.zeros(4, dtype=np.float32))
         with pytest.raises(ValueError, match="writeable"):
-            operators.bind_updates(np.zeros(4), read_only, *vectors()[:3])
+            operators.bind_kernels(spec, np.zeros(4), read_only, *vectors()[:3])
+        # Ap is the sweep's out, and z the mass multiply's
+        with pytest.raises(ValueError, match="writeable"):
+            operators.bind_kernels(spec, *vectors()[:3], read_only, read_only)
         assert not read_only.any()
-        # only read: accepted, and the bound updates run
-        x, r, p, _, _ = vectors()
-        step, direction = operators.bind_updates(x, r, p, read_only, read_only)
+        laplacian, xp_laplacian, step, mass = operators.bind_kernels(spec, *vectors())
+        laplacian()
+        xp_laplacian(1.0, 1.0)
         step(1.0)
-        direction(1.0, 1.0)
+        mass()
 
 
 def test_updates_reject_written_vectors_sharing_memory(monkeypatch):
-    # x, r and p are written, so each must be apart from every other operand;
-    # only z may be r itself or share Ap's buffer
+    # x, r, p and Ap are written, so each must be apart from every other
+    # operand; z may be r itself or Ap itself, not a part of either, since the
+    # sweep writes Ap[j] once z[j] is read
+    spec = GridSpec(1, 4)
     block = np.zeros(8)
     for kernels in stencil_kernels():
         monkeypatch.setattr(operators, "_kernels", kernels)
         x, r, p, Ap, z = (np.zeros(4) for _ in range(5))
         for operands in [(x, x, p, Ap, z), (x, r, r, Ap, z), (x, r, p, p, z), (x, r, p, Ap, x),
-                         (x, r, p, Ap, p), (block[:4], block[2:6], p, Ap, z)]:
+                         (x, r, p, Ap, p), (block[:4], block[2:6], p, Ap, z),
+                         (x, r, p, block[2:6], block[:4])]:
             with pytest.raises(ValueError, match="share memory"):
-                operators.bind_updates(*operands)
-        operators.bind_updates(x, r, p, Ap, r)
-        operators.bind_updates(x, r, p, Ap, Ap)
-        operators.bind_updates(x, r, p, block[:4], block[2:6])
+                operators.bind_kernels(spec, *operands)
+        assert operators.bind_kernels(spec, x, r, p, Ap, r)[3] is None  # plain CG: no mass multiply
+        operators.bind_kernels(spec, x, r, p, Ap, Ap)
 
 
 def assert_first_call_falls_back_to_numpy_bits(monkeypatch):
@@ -483,7 +542,7 @@ def test_fallback_allocates_no_vector_sized_temporary(spec):
         "laplacian": lambda: sweeps.laplacian(d, n, x, r, 2.0 * d, h**2),
         "mass": lambda: sweeps.mass(d, n, x, r, h / 6.0, h ** (2 - d), scratch),
         "r_update": lambda: sweeps.r_update(size, r, Ap, 0.37),
-        "xp_update": lambda: sweeps.xp_update(size, x, p, r, 0.37, 1.9),
+        "xp_laplacian": lambda: sweeps.xp_laplacian(d, n, x, p, r, Ap, 0.37, 1.9, 2.0 * d, h**2),
     }
     for name, call in calls.items():
         tracemalloc.start()

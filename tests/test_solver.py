@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import tracemalloc
 
@@ -169,6 +170,16 @@ def test_preconditioning_is_multiply_only():
     np.testing.assert_allclose(one_step_mass.solution, alpha0 * z0, rtol=1e-13)
 
 
+def test_complex_rhs_rejected():
+    # the float64 cast would drop the imaginary part and solve for the real
+    # part alone, with only a ComplexWarning
+    spec = GridSpec(2, 4)
+    with pytest.raises(TypeError, match="^b is complex"):
+        cg_solve(spec, np.ones(spec.size) + 1j)
+    with pytest.raises(TypeError, match="^b is complex"):
+        cg_solve(spec, list(np.ones(spec.size) + 0j))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(tol=0.0)
@@ -185,22 +196,15 @@ def test_drift_guard_replaces_residual_at_accuracy_floor(monkeypatch):
     # recursive residual falls far below what the true residual can reach, so
     # the drift guard fires and CG resumes from the true residual, written
     # into r in place (z is r in plain CG)
-    calls = []
-    laplacian = solver.apply_laplacian
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return laplacian(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "apply_laplacian", counted)
+    calls = counted_kernels(monkeypatch).calls
     spec = GridSpec(1, 6)
     b = np.ones(spec.size)
     report = cg_solve(spec, b, config=SolveConfig(tol=1e-300 * norm2(b)))
     assert not report.converged
     assert report.iterations == 60
-    # one call per iteration plus one per drift check, and both checks
+    # one sweep per iteration plus one per drift check, and both checks
     # replaced the residual
-    assert len(calls) == 62
+    assert calls["laplacian"] + calls["xp_laplacian"] == 62
     assert report.replacements == 2
     h = report.residual_history
     jump = int(np.argmax(h[1:] / h[:-1])) + 1
@@ -255,15 +259,50 @@ def test_zr_underflow_stops_unconverged():
     assert residual_norm(spec, report.solution, b) == pytest.approx(last, rel=0.1, abs=0.0)
 
 
-def negated(operator):
-    """``operator`` with its result negated in place: negative definite, which
-    no SPD operator is, so CG must break down rather than iterate."""
+class CountedKernels:
+    """A kernel table that serves through ``kernels`` and counts the calls of
+    each kernel by name, then hands each call's arguments to ``after``."""
 
-    def apply(*args, **kwargs):
-        out = operator(*args, **kwargs)
-        return np.negative(out, out=out)
+    def __init__(self, kernels, after=None):
+        self.kernels, self.after, self.calls = kernels, after, collections.Counter()
 
-    return apply
+    def __getattr__(self, name):
+        kernel = getattr(self.kernels, name)
+
+        def counted(*args):
+            self.calls[name] += 1
+            result = kernel(*args)
+            if self.after is not None:
+                self.after(name, args)
+            return result
+
+        return counted
+
+
+def counted_kernels(monkeypatch, after=None):
+    # the kernel table sees every operator application, bound once per solve
+    # or made through apply_laplacian and apply_mass
+    table = CountedKernels(operators._backend(), after)
+    monkeypatch.setattr(operators, "_kernels", table)
+    return table
+
+
+#: Position of the output vector in the arguments of each operator kernel.
+OUT_ARGUMENT = {"laplacian": 3, "xp_laplacian": 5, "mass": 3}
+
+
+def negating(kernels):
+    """An ``after`` hook that negates the result of the named kernels in
+    place: negative definite, which no SPD operator is, so CG must break
+    down rather than iterate."""
+
+    def after(name, args):
+        if name in kernels:
+            out = args[OUT_ARGUMENT[name]]
+            out = getattr(out, "vector", out)  # a bound library vector keeps its array
+            np.negative(out, out=out)
+
+    return after
 
 
 @pytest.mark.parametrize("precondition", ["none", "mass"])
@@ -281,27 +320,11 @@ def test_non_finite_rhs_breaks_down(precondition):
     ("apply_mass", "mass", "<z, r>"),
 ])
 def test_negative_definite_operator_breaks_down(operator, precondition, inner, monkeypatch):
-    monkeypatch.setattr(solver, operator, negated(getattr(solver, operator)))
+    kernels = {"apply_laplacian": ("laplacian", "xp_laplacian"), "apply_mass": ("mass",)}[operator]
+    counted_kernels(monkeypatch, negating(kernels))
     spec = GridSpec(2, 4)
     with pytest.raises(NumericalBreakdownError, match=rf"^{inner} = -\S+ is not positive$"):
         cg_solve(spec, np.ones(spec.size), config=SolveConfig(precondition=precondition))
-
-
-def counted_calls(monkeypatch, names):
-    # count the calls the solver makes through its own module names, as the
-    # benchmark's tracer sees them
-    calls = dict.fromkeys(names, 0)
-
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return counted
-
-    for name in names:
-        monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
-    return calls
 
 
 @pytest.mark.parametrize("spec, tol, max_iter, replacements", [
@@ -311,9 +334,10 @@ def counted_calls(monkeypatch, names):
 ], ids=["converged", "replaced", "capped"])
 def test_mass_pcg_calls_per_iteration(spec, tol, max_iter, replacements, monkeypatch):
     # per iteration one Laplacian, one mass multiply and three dots; each
-    # drift check adds a Laplacian and a dot. The per-layer metrics of the
-    # benchmark read these calls, so they must stay calls through solver
-    calls = counted_calls(monkeypatch, ("apply_laplacian", "apply_mass", "dot"))
+    # drift check adds a Laplacian and a dot
+    calls = counted_kernels(monkeypatch).calls
+    dots = []
+    monkeypatch.setattr(solver, "dot", lambda *args: dots.append(1) or dot(*args))
     b = np.ones(spec.size)
     report = cg_solve(spec, b, config=SolveConfig(tol=tol * norm2(b), max_iter=max_iter,
                                                   precondition="mass"))
@@ -321,12 +345,38 @@ def test_mass_pcg_calls_per_iteration(spec, tol, max_iter, replacements, monkeyp
     assert report.replacements == replacements
     assert converged == (max_iter is None)
     checks = replacements + converged
-    assert calls["apply_laplacian"] == it + checks
+    assert calls["laplacian"] + calls["xp_laplacian"] == it + checks
     # M r0 before the loop; none after the update that converged
-    assert calls["apply_mass"] == 1 + it - converged
+    assert calls["mass"] == 1 + it - converged
     # r·r and <z, r> before the loop; <p, Ap> and r·r per iteration, r·r per
     # drift check, <z, r> per iteration but the one that converged
-    assert calls["dot"] == 2 + 2 * it + checks + (it - converged)
+    assert len(dots) == 2 + 2 * it + checks + (it - converged)
+
+
+@pytest.mark.parametrize("precondition", ["none", "mass"])
+@pytest.mark.parametrize("spec, b, tol, max_iter", [
+    (GridSpec(2, 4), 0.0, 1e-8, None),  # r0 passes: no iteration
+    (GridSpec(2, 16), 1.0, 1e-8, None),  # converged at the first drift check
+    (GridSpec(1, 6), 1.0, 1e-300, None),  # replaced; capped (plain) or <z, r> underflow (mass)
+    (GridSpec(1, 6), 1.0, 1e-15, None),  # replaced, then converged in mass PCG
+    (GridSpec(2, 16), 1.0, 1e-8, 3),  # capped before any drift check
+], ids=["initial", "converged", "accuracy-floor", "replaced", "capped"])
+def test_report_counts_the_kernel_calls(spec, b, tol, max_iter, precondition, monkeypatch):
+    # the solver counts its own work; the kernel table sees every sweep,
+    # bound once per solve or made by name, on every way a solve ends
+    calls = counted_kernels(monkeypatch).calls
+    b = np.full(spec.size, b)
+    report = cg_solve(spec, b, config=SolveConfig(tol=tol * max(norm2(b), 1.0), max_iter=max_iter,
+                                                  precondition=precondition))
+    it = report.iterations
+    assert report.laplacian_applications == calls["laplacian"] + calls["xp_laplacian"]
+    assert report.laplacian_applications == it + report.drift_checks
+    assert calls["xp_laplacian"] == max(it - 1, 0)
+    assert report.mass_applications == calls["mass"]
+    assert report.drift_checks == report.replacements + (report.converged and it > 0)
+    # M r0 when r0 fails, then one per iteration but one that converged
+    expected = 1 + it - report.converged if it else 0
+    assert report.mass_applications == (expected if precondition == "mass" else 0)
 
 
 def test_mass_drift_guard_through_the_shared_buffer(monkeypatch):
@@ -382,18 +432,13 @@ def test_every_exit_path_keeps_its_bits(spec, tol, max_iter, precondition, outco
 def test_work_vectors_start_on_a_page(monkeypatch):
     # the kernels store in place, and a store stalls later loads that map to
     # its address modulo 4096, as in consecutive heap blocks: a solve puts x,
-    # r, p and Ap (z too) on pages, where no load maps to a recent store
+    # r, p and Ap (z too) on pages, where no load maps to a recent store, and
+    # so the mass scratch plane
     bound = []
-    bind = solver.bind_updates
-
-    def recording(*vectors):
-        bound.extend(vectors)
-        return bind(*vectors)
-
-    monkeypatch.setattr(solver, "bind_updates", recording)
+    counted_kernels(monkeypatch, lambda name, args: bound.extend(args) if name == "bind" else None)
     for precondition in ("none", "mass"):
         cg_solve(GridSpec(2, 16), np.ones(256), config=SolveConfig(max_iter=2, precondition=precondition))
-    assert len(bound) == 10
+    assert len([v for v in bound if v.size == 256]) == 10
     assert all(v.ctypes.data % 4096 == 0 for v in bound)
 
 

@@ -8,6 +8,7 @@ import inspect
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -104,6 +105,22 @@ def test_every_exported_kernel_is_declared():
     # the one line a masspcg_ definition may have above its own
     assert len(re.findall(r"^KERNEL\nvoid masspcg_", source, re.M)) == len(exported)
     assert not re.search(r"^(?!static|(?:KERNEL\n)?void masspcg_)\w[\w\s*]*\bmasspcg_\w+\(", source, re.M)
+
+
+def test_every_kernel_helper_is_inlined():
+    # KERNEL clones only the exported kernels: a static helper left out of
+    # line is built once, for the baseline target, and runs at that vector
+    # width in every clone, as the fused sweep once did, at half speed. So
+    # the library has no local symbol named after a static function
+    if native.compiler() is None or shutil.which("nm") is None:
+        pytest.skip("no C compiler or nm on PATH")
+    helpers = set(re.findall(r"^static\b[^;=]*?\b(\w+)\((?!\()", native.SOURCE.read_text(), re.M))
+    assert {"lap", "mass_across", "xp", "sweep"} <= helpers
+    listing = subprocess.run(["nm", native.load_library()._name], capture_output=True, text=True,
+                             check=True, timeout=60).stdout
+    local = {fields[-1].split(".")[0] for fields in map(str.split, listing.splitlines())
+             if len(fields) >= 2 and fields[-2] == "t"}
+    assert not helpers & local
 
 
 def test_numpy_fallback_implements_the_kernel_table():
