@@ -195,11 +195,26 @@ CONDITION_HEADERS = ("d", "n", "kappa", "kappa_p", "ratio", "sqrt_ratio")
 ITERATION_HEADERS = ("d", "n", "mtx-size", "itn-unprec", "itn-prec", "th-itn-ratio", "itn-ratio")
 
 
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Indices where a run of equal bit patterns starts in a float64 vector
+    (so +0.0 and -0.0 start runs of their own)."""
+    bits = values.view(np.int64)
+    return np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
+
+
 def spectrum_cells(kind: OperatorKind, spec: GridSpec) -> list[tuple[str, str]]:
     """(index, eigenvalue) string rows of the sorted spectrum, 1-based rank."""
-    # repr of a float round-trips exactly, so data files are bit-faithful
-    values = full_spectrum(kind, spec).tolist()
-    return [(str(rank), repr(v)) for rank, v in enumerate(values, start=1)]
+    # repr of a float round-trips exactly, so data files are bit-faithful. It
+    # is the costly step, and the sort puts equal values side by side (swapped
+    # frequency indices give equal bits), so each run's value is formatted once
+    values = full_spectrum(kind, spec)
+    starts = _run_starts(values)
+    text = map(repr, values[starts].tolist())
+    if starts.size < values.size:
+        runs = np.diff(starts, append=values.size)
+        text = np.repeat(np.array(list(text), dtype=object), runs).tolist()
+    # an int's repr is its str, and a cheaper call than the str constructor
+    return list(zip(map(repr, range(1, values.size + 1)), text))
 
 
 def residual_cells(report: SolveReport) -> list[tuple[str, str]]:
@@ -246,11 +261,11 @@ def render_table(headers, cells, fmt: str = "csv") -> str:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
     if fmt == "csv":
         lines = [",".join(headers)]
-        lines += [",".join(row) for row in cells]
+        lines += map(",".join, cells)
     else:
         lines = ["| " + " | ".join(headers) + " |"]
         lines.append("| " + " | ".join("---" for _ in headers) + " |")
-        lines += ["| " + " | ".join(row) + " |" for row in cells]
+        lines += map("| {} |".format, map(" | ".join, cells))
     return "\n".join(lines) + "\n"
 
 

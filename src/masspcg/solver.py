@@ -79,7 +79,9 @@ class SolveReport:
     replacements counts the times the drift guard found the recomputed
     residual still at or above tol, wrote it into r and resumed. The solver
     counts its own work: Laplacian and mass applications (``M r0`` included)
-    and drift-guard checks.
+    and drift-guard checks. stop says why the solve ended: "tol" (converged,
+    ``r0`` included), "cap" (max_iter reached) or "underflow" (``<z, r>``
+    underflowed to zero).
     """
 
     iterations: int
@@ -90,6 +92,7 @@ class SolveReport:
     laplacian_applications: int
     mass_applications: int
     drift_checks: int
+    stop: str
 
 
 def _check_scalar(value: float, what: str) -> float:
@@ -214,4 +217,5 @@ def cg_solve(
         laplacian_applications=iterations + drift_checks,
         mass_applications=mass_applications,
         drift_checks=drift_checks,
+        stop="tol" if converged else "underflow" if rz == 0.0 else "cap",
     )

@@ -9,6 +9,7 @@ from masspcg.experiments import (
     SPECTRUM_HEADERS,
     TABLE1_SIZES,
     TABLE2_CASES,
+    _run_starts,
     condition_cells,
     iteration_cells,
     iteration_row,
@@ -22,7 +23,7 @@ from masspcg.experiments import (
     table1_rows,
     write_text,
 )
-from masspcg.spectrum import OperatorKind
+from masspcg.spectrum import OperatorKind, full_spectrum
 
 
 def test_rhs_ones():
@@ -126,6 +127,24 @@ def test_spectrum_cells_trivial():
     index, value = cells[0]
     assert index == "1"
     assert float(value) == pytest.approx(4.0 / 3.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("kind", list(OperatorKind))
+@pytest.mark.parametrize("d, n", [(d, n) for d in (1, 2, 3) for n in (1, 2, 7, 12)] + [(2, 256)])
+def test_spectrum_cells_format_every_row(kind, d, n):
+    # each distinct value is formatted once and repeated over its run; the
+    # rows must be those of formatting every value on its own
+    spec = GridSpec(d, n)
+    naive = [(str(k), repr(v)) for k, v in enumerate(full_spectrum(kind, spec).tolist(), 1)]
+    assert spectrum_cells(kind, spec) == naive
+
+
+def test_run_starts_compares_bits():
+    # +0.0 == -0.0, but they print differently, so each starts its own run;
+    # two NaNs of one bit pattern print alike and share one, though nan != nan
+    values = np.array([-1.0, -1.0, -0.0, 0.0, 0.0, 2.5, np.nan, np.nan, np.inf])
+    np.testing.assert_array_equal(_run_starts(values), [0, 2, 3, 5, 6, 8])
+    np.testing.assert_array_equal(_run_starts(np.array([3.0])), [0])
 
 
 def test_residual_cells_requires_history():

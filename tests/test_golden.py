@@ -37,6 +37,11 @@ GOLDEN = [
      "ac4b9d5e4ce64d9bcb52e3ca5160650e17b9e2ac5a3f9ab65632f76b727c9501", ""),
     (("spectrum", "--dim", "3", "--n", "20", "--kind", "preconditioned"), 0,
      "6f60c862dcc153d5e97befaec0a7719df37cc7131c1d4d820ed63710c048177e", ""),
+    # every 1D eigenvalue is distinct, so each row formats its own value
+    (("spectrum", "--dim", "1", "--n", "64", "--kind", "preconditioned"), 0,
+     "2d6c6fb4393b502701801d24ef45101561d5a440625e43888cb2d6c665a28f81", ""),
+    (("spectrum", "--dim", "2", "--n", "12", "--kind", "laplacian", "--format", "markdown"), 0,
+     "c9b1f65aa3ef83df769b2cb5a62ef2cb36362122b2aee2e688040f91fe453394", ""),
     (("solve", "--dim", "2", "--n", "16", "--precond", "mass", "--rhs", "random", "--seed", "3"), 0,
      "aac71d4a31cec679f45e3f32039a924f2080556c91ceb4afb62f0aa9db023c74",
      "converged in 24 iterations\n"),

@@ -354,14 +354,15 @@ def test_mass_pcg_calls_per_iteration(spec, tol, max_iter, replacements, monkeyp
 
 
 @pytest.mark.parametrize("precondition", ["none", "mass"])
-@pytest.mark.parametrize("spec, b, tol, max_iter", [
-    (GridSpec(2, 4), 0.0, 1e-8, None),  # r0 passes: no iteration
-    (GridSpec(2, 16), 1.0, 1e-8, None),  # converged at the first drift check
-    (GridSpec(1, 6), 1.0, 1e-300, None),  # replaced; capped (plain) or <z, r> underflow (mass)
-    (GridSpec(1, 6), 1.0, 1e-15, None),  # replaced, then converged in mass PCG
-    (GridSpec(2, 16), 1.0, 1e-8, 3),  # capped before any drift check
+@pytest.mark.parametrize("spec, b, tol, max_iter, stops", [
+    (GridSpec(2, 4), 0.0, 1e-8, None, ("tol", "tol")),  # r0 passes: no iteration
+    (GridSpec(2, 16), 1.0, 1e-8, None, ("tol", "tol")),  # converged at the first drift check
+    # replaced; capped (plain) or <z, r> underflow (mass)
+    (GridSpec(1, 6), 1.0, 1e-300, None, ("cap", "underflow")),
+    (GridSpec(1, 6), 1.0, 1e-15, None, ("tol", "tol")),  # replaced, then converged in mass PCG
+    (GridSpec(2, 16), 1.0, 1e-8, 3, ("cap", "cap")),  # capped before any drift check
 ], ids=["initial", "converged", "accuracy-floor", "replaced", "capped"])
-def test_report_counts_the_kernel_calls(spec, b, tol, max_iter, precondition, monkeypatch):
+def test_report_counts_the_kernel_calls(spec, b, tol, max_iter, stops, precondition, monkeypatch):
     # the solver counts its own work; the kernel table sees every sweep,
     # bound once per solve or made by name, on every way a solve ends
     calls = counted_kernels(monkeypatch).calls
@@ -377,6 +378,8 @@ def test_report_counts_the_kernel_calls(spec, b, tol, max_iter, precondition, mo
     # M r0 when r0 fails, then one per iteration but one that converged
     expected = 1 + it - report.converged if it else 0
     assert report.mass_applications == (expected if precondition == "mass" else 0)
+    assert report.stop == stops[precondition == "mass"]
+    assert report.converged == (report.stop == "tol")
 
 
 def test_mass_drift_guard_through_the_shared_buffer(monkeypatch):

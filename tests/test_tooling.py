@@ -3,11 +3,13 @@ package carries what it needs at run time."""
 
 import ast
 import ctypes
+import hashlib
 import importlib.resources
 import inspect
 import json
 import os
 import re
+import runpy
 import shutil
 import subprocess
 import sys
@@ -17,6 +19,7 @@ import pytest
 
 import masspcg._native as native
 import masspcg._sweeps as sweeps
+from masspcg.cli import main
 from test_operators import single_target_source
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,6 +31,16 @@ def test_benchmark_self_test_passes():
     result = subprocess.run([sys.executable, "benchmarks/run.py", "--self-test"], cwd=ROOT,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_spectra_workload_outputs_match_the_benchmark_pins(tmp_path):
+    # the benchmark refuses a run whose spectra files differ by one byte from
+    # the sha256s it pins; this fails first, in a fraction of a second
+    commands = runpy.run_path(str(ROOT / "benchmarks" / "workloads.py"))["WORKLOADS"]["spectra"].commands
+    for command in commands:
+        path = tmp_path / command.output
+        assert main([*command.argv, "--out", str(path)]) == 0, command.argv
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == command.sha256, command.argv
 
 
 @pytest.mark.parametrize("module", ["grid.py", "spectrum.py"])
