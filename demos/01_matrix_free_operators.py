@@ -25,16 +25,16 @@ print(f"2D grid with n={spec.n}: h={spec.h}, {spec.size} unknowns")
 u = np.zeros(spec.size)
 u[5] = 1.0  # grid point (1, 1)
 print("\nLaplacian of a unit impulse (as a grid):")
-print(apply_laplacian(spec, u).reshape(spec.shape))
+print(apply_laplacian(spec, u).reshape(spec.n, spec.n))
 
 # The mass operator smears the impulse with the (1, 4, 1)/6 average along
 # every axis, times the mesh scale.
 print("\nMass operator applied to the same impulse:")
-print(apply_mass(spec, u).reshape(spec.shape))
+print(apply_mass(spec, u).reshape(spec.n, spec.n))
 
 # The preconditioned operator is the composition: mass after Laplacian.
 print("\nMass-preconditioned Laplacian of the impulse:")
-print(apply_mass(spec, apply_laplacian(spec, u)).reshape(spec.shape))
+print(apply_mass(spec, apply_laplacian(spec, u)).reshape(spec.n, spec.n))
 
 # Tensor-product sine vectors diagonalize all three operators at once.
 # Applying an operator to one returns the same vector, scaled by the

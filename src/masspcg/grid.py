@@ -43,11 +43,6 @@ class GridSpec:
         """Total number of unknowns, n**d."""
         return self.n**self.d
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        """Shape of the d-dimensional view of a grid vector."""
-        return (self.n,) * self.d
-
 
 def check_vector(spec: GridSpec, u: np.ndarray, name: str = "u") -> np.ndarray:
     """Validate that ``u`` is a flat real vector of length ``spec.size``.

@@ -1,6 +1,6 @@
 """Matrix-free application of the Dirichlet Laplacian and the scaled mass
-operator, the CG loop's kernels bound once per solve, and the page-aligned
-allocator of new vectors.
+operator, the work vectors of a CG solve with its loop's kernels bound once,
+and the page-aligned allocator of new vectors.
 
 Both operators act on flat vectors of length ``n**d`` and never assemble a
 matrix. Off-grid neighbors contribute zero (homogeneous Dirichlet closure), so
@@ -14,17 +14,18 @@ Scaling conventions on the unit domain with ``h = 1/(n+1)``:
   times a dimensional scale of ``h`` in 1D, ``1`` in 2D and ``1/h`` in 3D
   (i.e. ``h**(2-d)`` overall).
 
-The first call to a stencil or to :func:`bind_kernels` compiles
+The first call to a stencil or to :func:`cg_workspace` compiles
 ``_stencils.c`` with the system C compiler and loads it through ctypes; later
 calls and processes reuse the cached library. Without a compiler, or when the
 build or load fails, the numpy fallback of ``_sweeps`` serves. The two are one
 kernel table with the same names and arguments (``_native.SIGNATURES``): each
 operator checks its operands, computes the rounded scalars and the scratch
-once, and makes one call to whichever serves. A CG solve binds the four
-kernels of its loop once instead (:func:`bind_kernels`), the x and p update
-fused into the next Laplacian sweep, so its iterations make bare kernel calls.
-Both give the bits of ``tests/oracle.py``, the bitwise reference. Nothing is
-compiled, loaded or parsed for either at import.
+once, and makes one call to whichever serves. A CG solve allocates its work
+vectors and binds the three kernels of its loop to them once instead
+(:func:`cg_workspace`), the x and p update fused into the next Laplacian
+sweep, so its iterations make bare kernel calls. Both give the bits of
+``tests/oracle.py``, the bitwise reference. Nothing is compiled, loaded or
+parsed for either at import.
 """
 
 from __future__ import annotations
@@ -70,29 +71,22 @@ def _vector(size: int, value=None) -> np.ndarray:
     return v
 
 
-def _check_buffers(size: int, written: tuple) -> None:
-    """Reject vectors the kernels cannot take as bare pointers to write: each
-    must be a flat contiguous writeable float64 ndarray of ``size`` entries."""
-    shape = (size,)
-    for v in written:
-        if not isinstance(v, np.ndarray) or v.dtype != np.float64 or not v.flags.c_contiguous:
-            raise ValueError("vectors must be contiguous float64 ndarrays")
-        if v.shape != shape:
-            raise DimensionMismatchError(f"a vector has shape {v.shape}, expected {shape}")
-        if not v.flags.writeable:
-            raise ValueError("written vectors must be writeable")
-
-
 def _operands(spec: GridSpec, u, out: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """``u`` as a contiguous float64 grid vector, and the caller's checked
-    ``out`` buffer or a new one on a page."""
+    """``u`` as a contiguous float64 grid vector, and the caller's ``out``
+    buffer or a new one on a page. The kernels take ``out`` as a bare pointer
+    to write, so it must be a flat contiguous writeable float64 ndarray of
+    ``spec.size`` entries, apart from ``u``."""
     u = check_vector(spec, u)
     if out is None:
         out = _vector(spec.size)
-    else:
-        _check_buffers(spec.size, (out,))
-        if np.may_share_memory(out, u):
-            raise ValueError("out must not share memory with u")
+    elif not isinstance(out, np.ndarray) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError("out must be a contiguous float64 ndarray")
+    elif out.shape != (spec.size,):
+        raise DimensionMismatchError(f"out has shape {out.shape}, expected {(spec.size,)}")
+    elif not out.flags.writeable:
+        raise ValueError("out must be writeable")
+    elif np.may_share_memory(out, u):
+        raise ValueError("out must not share memory with u")
     return np.ascontiguousarray(u), out
 
 
@@ -137,26 +131,23 @@ def apply_mass(spec: GridSpec, u: np.ndarray, out: np.ndarray | None = None) -> 
     return out
 
 
-def bind_kernels(spec: GridSpec, x: np.ndarray, r: np.ndarray, p: np.ndarray, Ap: np.ndarray,
-                 z: np.ndarray) -> tuple:
-    """The kernels of a CG iteration on one solve's vectors, their operands
-    checked and bound and their scalars and scratch made once:
-    ``laplacian()`` makes ``Ap = A p``; ``xp_laplacian(alpha, beta)`` makes
-    ``x += p*alpha``, then ``p = p*beta + z``, then ``Ap = A p`` in one sweep;
-    ``step(alpha)`` makes ``r -= Ap*alpha``; ``mass()`` makes ``z = M r``, or
-    is None when z is r (plain CG). All five are flat contiguous float64
-    vectors of ``spec.size`` values; x, r, p and Ap share no memory, and z is
-    r, Ap, or apart from them."""
-    d, n, h = spec.d, spec.n, spec.h
-    _check_buffers(spec.size, (x, r, p, Ap, z))
-    apart = (x, r, p, Ap) if z is r or z is Ap else (x, r, p, Ap, z)
-    if any(np.may_share_memory(v, w) for i, v in enumerate(apart) for w in apart[i + 1 :]):
-        raise ValueError("x, r, p, Ap and a separate z must not share memory")
+def cg_workspace(spec: GridSpec, b: np.ndarray, mass: bool) -> tuple:
+    """The work vectors of one CG solve of ``A x = b``, each on a page, and
+    the kernels of its iteration bound to them once, with their scalars and
+    scratch: ``(x, r, p, Ap, z, xp_laplacian, step, mass)``. x = 0, r = b,
+    p = 0 and Ap unset; z is Ap in mass PCG and r in plain CG.
+    ``xp_laplacian(alpha, beta)`` makes ``x += p*alpha``, then
+    ``p = p*beta + z``, then ``Ap = A p`` in one sweep; ``step(alpha)`` makes
+    ``r -= Ap*alpha``; ``mass()`` makes ``z = M r``, and is None in plain CG.
+    ``b`` is a checked float64 grid vector."""
+    d, n, h, size = spec.d, spec.n, spec.h, spec.size
+    x, r, p, Ap = _vector(size, 0.0), _vector(size, b), _vector(size, 0.0), _vector(size)
+    z = Ap if mass else r
     kernels = _backend()
-    scratch = () if z is r else (_vector(n ** (d - 1)),)
-    x, r, p, Ap, z, *scratch = kernels.bind(x, r, p, Ap, z, *scratch)
+    scratch = (_vector(n ** (d - 1)),) if mass else ()
+    bx, br, bp, bAp, bz, *scratch = kernels.bind(x, r, p, Ap, z, *scratch)
     diag, h2, xp = 2.0 * d, h**2, kernels.xp_laplacian
-    return (partial(kernels.laplacian, d, n, p, Ap, diag, h2),
-            lambda alpha, beta: xp(d, n, x, p, z, Ap, alpha, beta, diag, h2),
-            partial(kernels.r_update, spec.size, r, Ap),
-            partial(kernels.mass, d, n, r, z, h / 6.0, h ** (2 - d), *scratch) if scratch else None)
+    return (x, r, p, Ap, z,
+            lambda alpha, beta: xp(d, n, bx, bp, bz, bAp, alpha, beta, diag, h2),
+            partial(kernels.r_update, size, br, bAp),
+            partial(kernels.mass, d, n, br, bz, h / 6.0, h ** (2 - d), *scratch) if mass else None)

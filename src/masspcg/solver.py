@@ -7,14 +7,15 @@ residual is recomputed from scratch once as a drift guard, and iteration
 resumes from the true residual in the unlikely case the recurrence had drifted
 past the threshold.
 
-A solve allocates its work vectors once and binds its loop's kernels to them
-(:func:`~masspcg.operators.bind_kernels`), so an iteration makes bare kernel
-calls; ``M r0`` and the drift guard call the operators by name. Mass PCG
-writes ``z = M r`` into the buffer of ``Ap = A p``: Ap is dead once r is
-updated, and z once p is. x and p lag r by one update, made in the Laplacian
-sweep of the next iteration; a solve stopped by the cap or by ``<z, r>``
-underflow adds the last ``p*alpha`` to x, and the drift guard's candidate
-``x + p*alpha`` becomes x when it converges.
+A solve takes its work vectors with its loop's kernels bound to them once
+(:func:`~masspcg.operators.cg_workspace`), so an iteration makes bare kernel
+calls; the drift guard calls the Laplacian by name. Mass PCG writes
+``z = M r`` into the buffer of ``Ap = A p``: Ap is dead once r is updated, and
+z once p is. x and p lag r by one update, made in the Laplacian sweep of the
+next iteration; the first sweep starts from ``p = 0`` with
+``alpha = beta = 0``, so it makes ``p = z`` (Hestenes & Stiefel 1952). A solve
+stopped by the cap or by ``<z, r>`` underflow adds the last ``p*alpha`` to x,
+and the drift guard's candidate ``x + p*alpha`` becomes x when it converges.
 The inner products stay whole-vector ``dot`` calls, so no sum is reordered;
 ``||r||`` is ``sqrt(r·r)``, as ``norm2`` computes it, from the same ``r·r``
 that plain CG uses as ``<z, r>``.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, check_vector, dot
-from .operators import _vector, apply_laplacian, apply_mass, bind_kernels
+from .operators import apply_laplacian, cg_workspace
 
 
 class NumericalBreakdownError(RuntimeError):
@@ -148,34 +149,27 @@ def cg_solve(
     """
     cfg = config if config is not None else SolveConfig()
     b = check_vector(spec, b, "b")
-    x = _vector(spec.size, 0.0)
-    r = _vector(spec.size, b)
     max_iter = cfg.resolved_max_iter(spec)
-    mass = cfg.precondition == "mass"
+    x, r, p, Ap, z, xp_laplacian, step, precondition = cg_workspace(spec, b, cfg.precondition == "mass")
 
     rr, res = _residual(r)
     history = [res]
     iterations = replacements = drift_checks = mass_applications = 0
     converged = res < cfg.tol
 
-    rz = 0.0
+    rz = alpha = beta = 0.0
     if not converged:
-        Ap = _vector(spec.size)
-        z = apply_mass(spec, r, out=Ap) if mass else r
-        mass_applications = int(mass)
-        p = _vector(spec.size, z)
+        if precondition:
+            precondition()
+            mass_applications = 1
         rz = _inner_zr(r, z, rr)
-        laplacian, xp_laplacian, step, precondition = bind_kernels(spec, x, r, p, Ap, z)
 
     # rz stays 0.0 when r0 already passes; otherwise a zero <z, r> has
     # underflowed at the attainable-accuracy floor, and the solve stops
-    # unconverged. From the second iteration on, the sweep that makes A p
-    # first brings x and p up to date with the last (alpha, beta).
+    # unconverged. The sweep that makes A p first brings x and p up to date
+    # with the last (alpha, beta); from p = 0 and (0.0, 0.0) it makes p = z.
     while rz > 0.0 and iterations < max_iter:
-        if iterations:
-            xp_laplacian(alpha, beta)
-        else:
-            laplacian()
+        xp_laplacian(alpha, beta)
         pAp = _check_scalar(dot(p, Ap), "<p, Ap>")
         if pAp <= 0.0:
             raise NumericalBreakdownError(f"<p, Ap> = {pAp} is not positive")
@@ -197,13 +191,13 @@ def cg_solve(
                 break
             history[-1] = res
             replacements += 1
-        if mass:
+        if precondition:
             precondition()
             mass_applications += 1
         rz_new = _inner_zr(r, z, rr)
         beta = rz_new / rz
         rz = rz_new
-    if iterations and not converged:
+    if not converged:
         # stopped on the cap or on <z, r> underflow: x still lacks p*alpha,
         # added as the drift guard adds it; Ap and z are dead
         x += np.multiply(p, alpha, out=Ap)

@@ -61,7 +61,7 @@ def _laplacian_dense(spec: GridSpec) -> np.ndarray:
                 neighbor = list(idx)
                 neighbor[axis] += step
                 if 0 <= neighbor[axis] < n:
-                    col = int(np.ravel_multi_index(neighbor, spec.shape))
+                    col = int(np.ravel_multi_index(neighbor, (spec.n,) * spec.d))
                     A[row, col] = -1.0 / h**2
     return A
 
@@ -83,7 +83,7 @@ def _axis_slices(ndim: int, axis: int) -> tuple[tuple[slice, ...], tuple[slice, 
 
 def reference_laplacian(spec: GridSpec, u: np.ndarray) -> np.ndarray:
     """Whole-array Laplacian stencil: one pass over the grid per neighbour."""
-    v = u.reshape(spec.shape)
+    v = u.reshape((spec.n,) * spec.d)
     out = (2.0 * spec.d) * v
     for axis in range(spec.d):
         lo, hi = _axis_slices(spec.d, axis)
@@ -96,7 +96,7 @@ def reference_laplacian(spec: GridSpec, u: np.ndarray) -> np.ndarray:
 def reference_mass(spec: GridSpec, u: np.ndarray) -> np.ndarray:
     """Whole-array mass operator: d full 1D sweeps, then the scale h**(2-d)."""
     h = spec.h
-    v = u.reshape(spec.shape)
+    v = u.reshape((spec.n,) * spec.d)
     for axis in range(spec.d):
         w = 4.0 * v
         lo, hi = _axis_slices(spec.d, axis)

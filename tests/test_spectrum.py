@@ -65,7 +65,7 @@ def test_full_spectrum_sorted_and_complete(kind, spec):
     assert np.all(np.diff(values) >= 0)
     expected = sorted(
         eigenvalue(kind, spec, k)
-        for k in np.ndindex(*spec.shape)
+        for k in np.ndindex((spec.n,) * spec.d)
         for k in [tuple(x + 1 for x in k)]
     )
     # both come from one closed-form routine, so they agree bit for bit

@@ -58,6 +58,17 @@ def test_closed_form_layers_import_no_kernel_or_solver(module):
     assert not leaves & {"operators", "solver", "_native", "_sweeps"}, module
 
 
+def test_solver_imports_no_private_name_of_operators():
+    # the solver takes its vectors and kernels through operators' public
+    # names (cg_workspace, apply_laplacian), not its private helpers
+    tree = ast.parse((ROOT / "src" / "masspcg" / "solver.py").read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("operators")
+                for alias in node.names]
+    assert imported
+    assert not [name for name in imported if name.startswith("_")]
+
+
 def test_solver_allocates_through_operators():
     # operators owns where a vector the kernels write starts (on a page), so
     # the solver allocates none itself
