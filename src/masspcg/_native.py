@@ -69,19 +69,15 @@ def build(command: list[str], target: Path) -> Path:
 
 class Vector(ctypes.c_void_p):
     """ctypes argument type of a vector: its data pointer as a ``c_void_p``
-    (a plain int would pass as a 32-bit C int); a ``Vector(v)``, made once
-    per solve by ``bind``, passes as it is and keeps ``v`` alive. ``operators``
-    checks dtype, layout and length first: ndpointer's checks and conversion
-    took about 5 us per vector per call on a 2-vCPU Xeon VM, more than a
-    whole update of 1,024 values."""
+    (a plain int would pass as a 32-bit C int) that keeps the vector alive.
+    ``bind`` makes one per vector, once per solve or operator call, and the
+    kernels refuse a bare array. ``operators`` checks dtype, layout and length
+    first: ndpointer's checks and conversion took about 5 us per vector per
+    call on a 2-vCPU Xeon VM, more than a whole update of 1,024 values."""
 
     def __init__(self, v):
         super().__init__(v.ctypes.data)
         self.vector = v
-
-    @classmethod
-    def from_param(cls, v):
-        return v if isinstance(v, cls) else ctypes.c_void_p(v.ctypes.data)
 
 
 #: The kernel table: argument types of every kernel, which ``_stencils.c``

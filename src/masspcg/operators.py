@@ -18,9 +18,10 @@ The first call to a stencil or to :func:`cg_workspace` compiles
 ``_stencils.c`` with the system C compiler and loads it through ctypes; later
 calls and processes reuse the cached library. Without a compiler, or when the
 build or load fails, the numpy fallback of ``_sweeps`` serves. The two are one
-kernel table with the same names and arguments (``_native.SIGNATURES``): each
-operator checks its operands, computes the rounded scalars and the scratch
-once, and makes one call to whichever serves. A CG solve allocates its work
+kernel table with the same names and arguments (``_native.SIGNATURES``),
+whose kernels take only vectors made by its ``bind``: each operator checks
+its operands, binds them, computes the rounded scalars and the scratch once,
+and makes one call to whichever serves. A CG solve allocates its work
 vectors and binds the three kernels of its loop to them once instead
 (:func:`cg_workspace`), the x and p update fused into the next Laplacian
 sweep, so its iterations make bare kernel calls. Both give the bits of
@@ -109,7 +110,8 @@ def apply_laplacian(spec: GridSpec, u: np.ndarray, out: np.ndarray | None = None
         ``A_d @ u``, flat (``out`` when given).
     """
     u, out = _operands(spec, u, out)
-    _backend().laplacian(spec.d, spec.n, u, out, 2.0 * spec.d, spec.h**2)
+    kernels = _backend()
+    kernels.laplacian(spec.d, spec.n, *kernels.bind(u, out), 2.0 * spec.d, spec.h**2)
     return out
 
 
@@ -124,10 +126,11 @@ def apply_mass(spec: GridSpec, u: np.ndarray, out: np.ndarray | None = None) -> 
     """
     u, out = _operands(spec, u, out)
     d, n, h = spec.d, spec.n, spec.h
+    kernels = _backend()
     # one axis-0 plane for both backends: the compiled kernel's across-planes
     # sweep in 3D, and the plane the numpy sweeps go through
-    scratch = np.empty(n ** (d - 1))
-    _backend().mass(d, n, u, out, h / 6.0, h ** (2 - d), scratch)
+    bu, bout, scratch = kernels.bind(u, out, np.empty(n ** (d - 1)))
+    kernels.mass(d, n, bu, bout, h / 6.0, h ** (2 - d), scratch)
     return out
 
 

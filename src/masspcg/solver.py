@@ -12,13 +12,12 @@ A solve takes its work vectors with its loop's kernels bound to them once
 calls; the drift guard calls the Laplacian by name. Mass PCG writes
 ``z = M r`` into the buffer of ``Ap = A p``: Ap is dead once r is updated, and
 z once p is. x and p lag r by one update, made in the Laplacian sweep of the
-next iteration; the first sweep starts from ``p = 0`` with
-``alpha = beta = 0``, so it makes ``p = z`` (Hestenes & Stiefel 1952). A solve
-stopped by the cap or by ``<z, r>`` underflow adds the last ``p*alpha`` to x,
-and the drift guard's candidate ``x + p*alpha`` becomes x when it converges.
-The inner products stay whole-vector ``dot`` calls, so no sum is reordered;
-``||r||`` is ``sqrt(r·r)``, as ``norm2`` computes it, from the same ``r·r``
-that plain CG uses as ``<z, r>``.
+next iteration, from ``beta = <z, r> / inf = 0`` and ``alpha = 0`` in the first
+(Hestenes & Stiefel 1952). The drift guard adds ``p*alpha`` to x itself and
+sets alpha to 0; a solve stopped by the cap or by ``<z, r>`` underflow adds
+it last. The inner products stay whole-vector ``dot`` calls, so no sum is
+reordered; ``||r||`` is ``sqrt(r·r)``, as ``norm2`` computes it, from the same
+``r·r`` that plain CG uses as ``<z, r>``.
 """
 
 from __future__ import annotations
@@ -60,8 +59,9 @@ class SolveConfig:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.max_iter is not None and (not isinstance(self.max_iter, (int, np.integer))
+                                          or self.max_iter < 1):
+            raise ValueError(f"max_iter must be a positive integer or None, got {self.max_iter}")
         if self.precondition not in PRECONDITION_KINDS:
             raise ValueError(
                 f"precondition must be one of {PRECONDITION_KINDS}, got {self.precondition!r}"
@@ -155,21 +155,20 @@ def cg_solve(
     rr, res = _residual(r)
     history = [res]
     iterations = replacements = drift_checks = mass_applications = 0
-    converged = res < cfg.tol
 
-    rz = alpha = beta = 0.0
-    if not converged:
+    # Each pass makes z = M r and <z, r>, and stops there on <z, r> underflow
+    # (the attainable-accuracy floor) or on the cap. The sweep that makes A p
+    # first brings x and p up to date with the last alpha and beta; from
+    # rz = inf, alpha = 0.0 and p = 0 the first makes p = 0*0 + z.
+    rz, alpha = math.inf, 0.0
+    while res >= cfg.tol:
         if precondition:
             precondition()
-            mass_applications = 1
-        rz = _inner_zr(r, z, rr)
-
-    # rz stays 0.0 when r0 already passes; otherwise a zero <z, r> has
-    # underflowed at the attainable-accuracy floor, and the solve stops
-    # unconverged. The sweep that makes A p first brings x and p up to date
-    # with the last (alpha, beta); from p = 0 and (0.0, 0.0) it makes p = z.
-    while rz > 0.0 and iterations < max_iter:
-        xp_laplacian(alpha, beta)
+            mass_applications += 1
+        rz_old, rz = rz, _inner_zr(r, z, rr)
+        if rz == 0.0 or iterations == max_iter:
+            break
+        xp_laplacian(alpha, rz / rz_old)
         pAp = _check_scalar(dot(p, Ap), "<p, Ap>")
         if pAp <= 0.0:
             raise NumericalBreakdownError(f"<p, Ap> = {pAp} is not positive")
@@ -179,27 +178,21 @@ def cg_solve(
         history.append(res)
         iterations += 1
         if res < cfg.tol:
-            # Drift guard: confirm with the from-scratch residual of x + p*alpha,
-            # built in Ap's free buffer, written into r in place (z is r in plain
-            # CG); resume from it if the recurrence drifted, x left to the sweep.
+            # Drift guard: bring x up to date through Ap's dead buffer, so the
+            # next sweep's x += p*0.0 keeps its bits (x is never -0.0), and
+            # write the from-scratch residual into r (z is r in plain CG)
             drift_checks += 1
-            candidate = np.add(x, np.multiply(p, alpha, out=Ap), out=Ap)
-            np.subtract(b, apply_laplacian(spec, candidate, out=r), out=r)
+            x += np.multiply(p, alpha, out=Ap)
+            alpha = 0.0
+            np.subtract(b, apply_laplacian(spec, x, out=r), out=r)
             rr, res = _residual(r)
-            if res < cfg.tol:
-                x, converged = candidate, True
-                break
-            history[-1] = res
-            replacements += 1
-        if precondition:
-            precondition()
-            mass_applications += 1
-        rz_new = _inner_zr(r, z, rr)
-        beta = rz_new / rz
-        rz = rz_new
+            if res >= cfg.tol:
+                history[-1] = res
+                replacements += 1
+    converged = res < cfg.tol
     if not converged:
-        # stopped on the cap or on <z, r> underflow: x still lacks p*alpha,
-        # added as the drift guard adds it; Ap and z are dead
+        # stopped on the cap or on <z, r> underflow: x still lacks p*alpha
+        # (0.0 after a replacement), added through Ap; Ap and z are dead
         x += np.multiply(p, alpha, out=Ap)
 
     return SolveReport(

@@ -114,7 +114,7 @@ def test_iteration_row_plain_vs_mass_matches_prediction():
     assert row.iterations > row.iterations_mass
     assert row.observed_ratio == pytest.approx(row.iterations / row.iterations_mass, rel=1e-12)
     # observed should land in the right neighborhood of the prediction
-    assert abs(row.observed_ratio - row.predicted_ratio) < 0.5
+    assert abs(row.observed_ratio - ratio_report(GridSpec(2, 24)).predicted_iter_ratio) < 0.5
 
 
 def test_table2_case_list():

@@ -1,3 +1,4 @@
+import ctypes
 import functools
 import re
 import subprocess
@@ -221,6 +222,30 @@ def test_bad_out_rejected(apply):
     with pytest.raises(ValueError, match="writeable"):
         apply(spec, u, out=read_only)
     assert not read_only.any()
+
+
+def test_compiled_kernels_refuse_a_bare_array():
+    # every vector reaches the library as a Vector made by its bind, which
+    # keeps the array alive; a bare ndarray is refused before the call, not
+    # passed on as a raw pointer
+    if native.compiler() is None:
+        pytest.skip("no C compiler")
+    u, v, w, out, scratch = np.ones(4), np.ones(4), np.ones(4), np.zeros(4), np.zeros(1)
+    calls = {
+        "laplacian": (1, 4, u, out, 2.0, 0.04),
+        "mass": (1, 4, u, out, 0.05, 0.2, scratch),
+        "r_update": (4, out, u, 0.5),
+        "xp_laplacian": (1, 4, u, v, w, out, 0.5, 0.5, 2.0, 0.04),
+    }
+    assert calls.keys() == native.SIGNATURES.keys()
+    for lib in stencil_kernels()[:-1]:
+        for name, args in calls.items():
+            kernel = getattr(lib, name)
+            with pytest.raises(ctypes.ArgumentError):
+                kernel(*args)
+            assert not out.any(), (lib, name)
+            kernel(*[lib.bind(a)[0] if isinstance(a, np.ndarray) else a for a in args])
+            out[...] = 0.0
 
 
 # The compiled stencils and the numpy sweeps they fall back to must both give

@@ -191,6 +191,17 @@ def test_config_validation():
         SolveConfig(precondition="jacobi")
 
 
+def test_max_iter_must_be_an_integer():
+    # a fractional cap would run past itself (2.5 ran 3 iterations, reported
+    # as the cap); integers of numpy's types pass, as GridSpec's n does
+    for max_iter in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+            SolveConfig(max_iter=max_iter)
+    spec = GridSpec(2, 16)
+    report = cg_solve(spec, np.ones(spec.size), config=SolveConfig(max_iter=np.int64(3)))
+    assert (report.iterations, report.stop) == (3, "cap")
+
+
 def test_drift_guard_replaces_residual_at_accuracy_floor(monkeypatch):
     # the CLI's `solve --dim 1 --n 6 --precond none --tol 1e-300`: the
     # recursive residual falls far below what the true residual can reach, so
@@ -233,7 +244,7 @@ def test_residual_norm_shares_the_r_dot_r_reduction(precondition, per_iteration,
     report = cg_solve(spec, b, config=SolveConfig(tol=1e-8 * norm2(b), precondition=precondition))
     assert report.converged and report.replacements == 0
     # plus r·r before the loop and in the one drift check; mass PCG also
-    # takes <z, r> before the loop but not after the last update
+    # takes <z, r> at the start of each pass, none after the last update
     assert calls["dot"] == per_iteration * report.iterations + 2
     assert calls["norm2"] == 0
 
@@ -346,10 +357,11 @@ def test_mass_pcg_calls_per_iteration(spec, tol, max_iter, replacements, monkeyp
     assert converged == (max_iter is None)
     checks = replacements + converged
     assert calls["laplacian"] + calls["xp_laplacian"] == it + checks
-    # M r0 before the loop; none after the update that converged
+    # M r0 in the first pass; none after the update that converged
     assert calls["mass"] == 1 + it - converged
-    # r·r and <z, r> before the loop; <p, Ap> and r·r per iteration, r·r per
-    # drift check, <z, r> per iteration but the one that converged
+    # r·r before the loop and <z, r> in the first pass; <p, Ap> and r·r per
+    # iteration, r·r per drift check, <z, r> per iteration but the one that
+    # converged
     assert len(dots) == 2 + 2 * it + checks + (it - converged)
 
 
@@ -376,7 +388,8 @@ def test_report_counts_the_kernel_calls(spec, b, tol, max_iter, stops, precondit
     assert calls["laplacian"] == report.drift_checks
     assert report.mass_applications == calls["mass"]
     assert report.drift_checks == report.replacements + (report.converged and it > 0)
-    # M r0 when r0 fails, then one per iteration but one that converged
+    # M r0 when r0 fails, then one per iteration but one that converged,
+    # each at the start of a pass
     expected = 1 + it - report.converged if it else 0
     assert report.mass_applications == (expected if precondition == "mass" else 0)
     assert report.stop == stops[precondition == "mass"]
@@ -384,11 +397,11 @@ def test_report_counts_the_kernel_calls(spec, b, tol, max_iter, stops, precondit
 
 
 def test_mass_drift_guard_through_the_shared_buffer(monkeypatch):
-    # the drift guard builds its candidate x + p*alpha in the buffer that
-    # holds Ap and z = M r, and writes A times it into r; after the
-    # replacement x gains p*alpha only in the next direction update. The
-    # replacement and every bit of the result are those of a solve with a
-    # separate z and x updated with r (digest recorded before either change)
+    # the drift guard adds p*alpha to x through the buffer that holds Ap and
+    # z = M r, and writes b - A x into r; after the replacement the next
+    # direction update adds p*0.0 to x. The replacement and every bit of the
+    # result are those of a solve with a separate z and x updated with r
+    # (digest recorded before either change)
     spec = GridSpec(1, 6)
     b = np.ones(spec.size)
     for kernels in stencil_kernels():
@@ -458,17 +471,25 @@ def rhs_pattern(spec, rhs):
      "907548f3744718f019b00ae214b00954a5b6c6bfa54a0124ae1fa7e54bb77157"),
     (GridSpec(1, 6), "one", 1e-8, 1, "none", (1, False, 0),
      "3802cb66febae6e61b69a570bfe34b9f8fe1a4fd30e7ed500d3acc8faedf93ee"),
+    # the cap right after a replacement: x is brought up to date by the drift
+    # guard, where the next sweep once did it (digests recorded then)
+    (GridSpec(1, 6), "ones", 1e-300, 3, "none", (3, False, 1),
+     "9d3087ff5c4e20f147bd1719818a2d31197e68c7784ac8e15a28158fa250dac0"),
+    (GridSpec(1, 6), "ones", 1e-15, 3, "mass", (3, False, 1),
+     "ac66a865b8c680eb9fa032fab03818facd43886e76317786ea39bea4333ac42b"),
 ], ids=["capped-replaced", "zr-underflow", "mass-replaced", "max-iter-plain", "max-iter-mass",
         "converged-3d-mass", "converged-2d-plain",
         *(f"{rhs}-{case}" for rhs in ("thirds", "one") for case in (
             "capped-plain", "capped-mass", "converged-1d-mass", "max-iter-mass", "converged-3d-mass",
-            "converged-2d-plain", "first-iteration-mass", "first-iteration-plain"))])
+            "converged-2d-plain", "first-iteration-mass", "first-iteration-plain")),
+        "capped-after-replacement-plain", "capped-after-replacement-mass"])
 def test_every_exit_path_keeps_its_bits(spec, rhs, tol, max_iter, precondition, outcome, digest,
                                         monkeypatch):
     # the solution, residual history and outcome of each way a solve ends, on
     # every backend and clone; x is updated a pass after r, so an exit that skipped
     # bringing it up to date would change the solution's bits (digests
-    # recorded when x and r were updated in one step)
+    # recorded when x and r were updated in one step, and the last two when
+    # the drift guard left x to the next sweep)
     b = rhs_pattern(spec, rhs)
     config = SolveConfig(tol=tol * norm2(b), max_iter=max_iter, precondition=precondition)
     for kernels in stencil_kernels():

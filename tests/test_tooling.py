@@ -69,6 +69,28 @@ def test_solver_imports_no_private_name_of_operators():
     assert not [name for name in imported if name.startswith("_")]
 
 
+def test_package_imports_no_unused_name():
+    # a refactor can leave an import behind: every name a module under
+    # src/masspcg imports is read in it, or listed in its __all__
+    unused = {}
+    for path in sorted((ROOT / "src" / "masspcg").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported, used = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        if imported - used:
+            unused[path.name] = sorted(imported - used)
+    assert not unused
+
+
 def test_solver_allocates_through_operators():
     # operators owns where a vector the kernels write starts (on a page), so
     # the solver allocates none itself
