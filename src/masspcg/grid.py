@@ -17,6 +17,11 @@ class DimensionMismatchError(ValueError):
     """A vector does not match the grid it is used with."""
 
 
+def is_integer(value) -> bool:
+    """A Python or numpy integer, not a bool (which subclasses int)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Identifies one operator instance: dimension ``d`` and interior points per axis ``n``."""
@@ -25,9 +30,9 @@ class GridSpec:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.d, (int, np.integer)) or self.d not in (1, 2, 3):
+        if not is_integer(self.d) or self.d not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        if not is_integer(self.n) or self.n < 1:
             raise ValueError(f"interior point count must be a positive integer, got {self.n}")
         # Python ints, so that size and the scan counts cannot wrap around
         object.__setattr__(self, "d", int(self.d))

@@ -129,7 +129,7 @@ def apply_mass(spec: GridSpec, u: np.ndarray, out: np.ndarray | None = None) -> 
     kernels = _backend()
     # one axis-0 plane for both backends: the compiled kernel's across-planes
     # sweep in 3D, and the plane the numpy sweeps go through
-    bu, bout, scratch = kernels.bind(u, out, np.empty(n ** (d - 1)))
+    bu, bout, scratch = kernels.bind(u, out, _vector(n ** (d - 1)))
     kernels.mass(d, n, bu, bout, h / 6.0, h ** (2 - d), scratch)
     return out
 

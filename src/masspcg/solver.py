@@ -13,11 +13,12 @@ calls; the drift guard calls the Laplacian by name. Mass PCG writes
 ``z = M r`` into the buffer of ``Ap = A p``: Ap is dead once r is updated, and
 z once p is. x and p lag r by one update, made in the Laplacian sweep of the
 next iteration, from ``beta = <z, r> / inf = 0`` and ``alpha = 0`` in the first
-(Hestenes & Stiefel 1952). The drift guard adds ``p*alpha`` to x itself and
-sets alpha to 0; a solve stopped by the cap or by ``<z, r>`` underflow adds
-it last. The inner products stay whole-vector ``dot`` calls, so no sum is
-reordered; ``||r||`` is ``sqrt(r·r)``, as ``norm2`` computes it, from the same
-``r·r`` that plain CG uses as ``<z, r>``.
+(Hestenes & Stiefel 1952), and x takes its last ``p*alpha`` after the loop.
+The drift guard builds ``x + p*alpha`` in Ap's dead buffer and writes
+``b - A(x + p*alpha)`` into r (the residual replacement of Greenbaum 1997),
+leaving x and alpha to the next sweep. The inner products stay whole-vector
+``dot`` calls, so no sum is reordered; ``||r||`` is ``sqrt(r·r)``, as
+``norm2`` computes it, from the same ``r·r`` that plain CG uses as ``<z, r>``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, check_vector, dot
+from .grid import GridSpec, check_vector, dot, is_integer
 from .operators import apply_laplacian, cg_workspace
 
 
@@ -57,10 +58,9 @@ class SolveConfig:
     record_history: bool = True
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter is not None and (not isinstance(self.max_iter, (int, np.integer))
-                                          or self.max_iter < 1):
+        if isinstance(self.tol, (bool, np.bool_)) or not self.tol > 0:
+            raise ValueError(f"tol must be a positive number, got {self.tol}")
+        if self.max_iter is not None and (not is_integer(self.max_iter) or self.max_iter < 1):
             raise ValueError(f"max_iter must be a positive integer or None, got {self.max_iter}")
         if self.precondition not in PRECONDITION_KINDS:
             raise ValueError(
@@ -79,10 +79,10 @@ class SolveReport:
     recorded); converged means the last residual tested was below tol.
     replacements counts the times the drift guard found the recomputed
     residual still at or above tol, wrote it into r and resumed. The solver
-    counts its own work: Laplacian and mass applications (``M r0`` included)
-    and drift-guard checks. stop says why the solve ended: "tol" (converged,
-    ``r0`` included), "cap" (max_iter reached) or "underflow" (``<z, r>``
-    underflowed to zero).
+    reports its own work: drift-guard checks, and Laplacian and mass
+    applications (``M r0`` included), which the loop's shape fixes. stop says
+    why the solve ended: "tol" (converged, ``r0`` included), "cap" (max_iter
+    reached) or "underflow" (``<z, r>`` underflowed to zero).
     """
 
     iterations: int
@@ -154,7 +154,7 @@ def cg_solve(
 
     rr, res = _residual(r)
     history = [res]
-    iterations = replacements = drift_checks = mass_applications = 0
+    iterations = replacements = drift_checks = 0
 
     # Each pass makes z = M r and <z, r>, and stops there on <z, r> underflow
     # (the attainable-accuracy floor) or on the cap. The sweep that makes A p
@@ -164,7 +164,6 @@ def cg_solve(
     while res >= cfg.tol:
         if precondition:
             precondition()
-            mass_applications += 1
         rz_old, rz = rz, _inner_zr(r, z, rr)
         if rz == 0.0 or iterations == max_iter:
             break
@@ -178,22 +177,17 @@ def cg_solve(
         history.append(res)
         iterations += 1
         if res < cfg.tol:
-            # Drift guard: bring x up to date through Ap's dead buffer, so the
-            # next sweep's x += p*0.0 keeps its bits (x is never -0.0), and
-            # write the from-scratch residual into r (z is r in plain CG)
+            # Drift guard: r = b - A(x + p*alpha), x + p*alpha built in dead Ap
             drift_checks += 1
-            x += np.multiply(p, alpha, out=Ap)
-            alpha = 0.0
-            np.subtract(b, apply_laplacian(spec, x, out=r), out=r)
+            np.add(x, np.multiply(p, alpha, out=Ap), out=Ap)
+            np.subtract(b, apply_laplacian(spec, Ap, out=r), out=r)
             rr, res = _residual(r)
             if res >= cfg.tol:
                 history[-1] = res
                 replacements += 1
+    # x lacks the last p*alpha on every exit; Ap and z are dead
+    x += np.multiply(p, alpha, out=Ap)
     converged = res < cfg.tol
-    if not converged:
-        # stopped on the cap or on <z, r> underflow: x still lacks p*alpha
-        # (0.0 after a replacement), added through Ap; Ap and z are dead
-        x += np.multiply(p, alpha, out=Ap)
 
     return SolveReport(
         iterations=iterations,
@@ -202,7 +196,7 @@ def cg_solve(
         solution=x,
         replacements=replacements,
         laplacian_applications=iterations + drift_checks,
-        mass_applications=mass_applications,
+        mass_applications=(iterations + (not converged)) if precondition else 0,
         drift_checks=drift_checks,
         stop="tol" if converged else "underflow" if rz == 0.0 else "cap",
     )

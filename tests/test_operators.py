@@ -1,3 +1,4 @@
+import collections
 import ctypes
 import functools
 import re
@@ -361,15 +362,42 @@ def test_stencils_with_u_and_out_adjacent_in_one_block(spec, offset, monkeypatch
                 assert same_bits(out, reference(spec, u)), (kernels, apply, u_at, out_at)
 
 
-@pytest.mark.parametrize("spec", [GridSpec(1, 1), GridSpec(2, 16), GridSpec(3, 32)], ids=str)
+class CountedKernels:
+    """A kernel table that serves through ``kernels`` and counts the calls of
+    each kernel by name, then hands each call's arguments to ``after``."""
+
+    def __init__(self, kernels, after=None):
+        self.kernels, self.after, self.calls = kernels, after, collections.Counter()
+
+    def __getattr__(self, name):
+        kernel = getattr(self.kernels, name)
+
+        def counted(*args):
+            self.calls[name] += 1
+            result = kernel(*args)
+            if self.after is not None:
+                self.after(name, args)
+            return result
+
+        return counted
+
+
+@pytest.mark.parametrize("spec", [GridSpec(1, 1), GridSpec(2, 16), GridSpec(3, 32), GridSpec(3, 64)],
+                         ids=str)
 def test_fresh_out_starts_on_a_page(spec, monkeypatch):
-    # without out, the operators allocate one on a page: the kernels store in
-    # place, and a fresh block can follow u a few bytes apart modulo 4096
-    u = np.ones(spec.size)
+    # without out, the operators allocate one on a page, and the mass
+    # operator its scratch plane: the kernels store in place, and a fresh
+    # block can follow u a few bytes apart modulo 4096
+    u, bound = np.ones(spec.size), []
     for kernels in stencil_kernels():
-        monkeypatch.setattr(operators, "_kernels", kernels)
-        for apply in (apply_laplacian, apply_mass):
+        monkeypatch.setattr(operators, "_kernels", CountedKernels(
+            kernels, lambda name, args: bound.extend(args) if name == "bind" else None))
+        for apply, fresh in ((apply_laplacian, 1), (apply_mass, 2)):
+            bound.clear()
             assert apply(spec, u).ctypes.data % 4096 == 0, (kernels, apply)
+            # the caller's u, then out and the mass scratch
+            assert bound[0] is u and len(bound) == 1 + fresh, (kernels, apply)
+            assert all(v.ctypes.data % 4096 == 0 for v in bound[1:]), (kernels, apply)
 
 
 def expected_updates(x, r, p, Ap, z, alpha, beta):

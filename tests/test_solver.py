@@ -1,4 +1,3 @@
-import collections
 import hashlib
 import tracemalloc
 
@@ -18,7 +17,7 @@ from masspcg import (
     dot,
     norm2,
 )
-from test_operators import stencil_kernels
+from test_operators import CountedKernels, stencil_kernels
 
 SPECS = [GridSpec(1, 40), GridSpec(2, 12), GridSpec(3, 5)]
 
@@ -191,6 +190,16 @@ def test_config_validation():
         SolveConfig(precondition="jacobi")
 
 
+def test_bool_is_neither_an_integer_nor_a_tolerance():
+    # bool subclasses int: True made the grid n=1 or 1D, a cap of one
+    # iteration, or tol 1.0
+    for make in (lambda flag: GridSpec(2, flag), lambda flag: GridSpec(flag, 4),
+                 lambda flag: SolveConfig(max_iter=flag), lambda flag: SolveConfig(tol=flag)):
+        for flag in (True, np.True_):
+            with pytest.raises(ValueError, match="must be"):
+                make(flag)
+
+
 def test_max_iter_must_be_an_integer():
     # a fractional cap would run past itself (2.5 ran 3 iterations, reported
     # as the cap); integers of numpy's types pass, as GridSpec's n does
@@ -268,26 +277,6 @@ def test_zr_underflow_stops_unconverged():
     assert (report.iterations, report.converged) == (8, False)
     last = report.residual_history[-1]
     assert residual_norm(spec, report.solution, b) == pytest.approx(last, rel=0.1, abs=0.0)
-
-
-class CountedKernels:
-    """A kernel table that serves through ``kernels`` and counts the calls of
-    each kernel by name, then hands each call's arguments to ``after``."""
-
-    def __init__(self, kernels, after=None):
-        self.kernels, self.after, self.calls = kernels, after, collections.Counter()
-
-    def __getattr__(self, name):
-        kernel = getattr(self.kernels, name)
-
-        def counted(*args):
-            self.calls[name] += 1
-            result = kernel(*args)
-            if self.after is not None:
-                self.after(name, args)
-            return result
-
-        return counted
 
 
 def counted_kernels(monkeypatch, after=None):
@@ -397,11 +386,11 @@ def test_report_counts_the_kernel_calls(spec, b, tol, max_iter, stops, precondit
 
 
 def test_mass_drift_guard_through_the_shared_buffer(monkeypatch):
-    # the drift guard adds p*alpha to x through the buffer that holds Ap and
-    # z = M r, and writes b - A x into r; after the replacement the next
-    # direction update adds p*0.0 to x. The replacement and every bit of the
-    # result are those of a solve with a separate z and x updated with r
-    # (digest recorded before either change)
+    # the drift guard builds x + p*alpha in the buffer that holds Ap and
+    # z = M r, and writes b - A(x + p*alpha) into r; after the replacement
+    # the next direction update adds that p*alpha to x. The replacement and
+    # every bit of the result are those of a solve with a separate z and x
+    # updated with r (digest recorded before either change)
     spec = GridSpec(1, 6)
     b = np.ones(spec.size)
     for kernels in stencil_kernels():
@@ -471,25 +460,34 @@ def rhs_pattern(spec, rhs):
      "907548f3744718f019b00ae214b00954a5b6c6bfa54a0124ae1fa7e54bb77157"),
     (GridSpec(1, 6), "one", 1e-8, 1, "none", (1, False, 0),
      "3802cb66febae6e61b69a570bfe34b9f8fe1a4fd30e7ed500d3acc8faedf93ee"),
-    # the cap right after a replacement: x is brought up to date by the drift
-    # guard, where the next sweep once did it (digests recorded then)
+    # the cap right after a replacement: x lacks the p*alpha the drift guard
+    # tested, and takes it after the loop (digests recorded when the next
+    # sweep added it)
     (GridSpec(1, 6), "ones", 1e-300, 3, "none", (3, False, 1),
      "9d3087ff5c4e20f147bd1719818a2d31197e68c7784ac8e15a28158fa250dac0"),
     (GridSpec(1, 6), "ones", 1e-15, 3, "mass", (3, False, 1),
      "ac66a865b8c680eb9fa032fab03818facd43886e76317786ea39bea4333ac42b"),
+    # plain CG converged after replacements: the sweep after each adds the
+    # tested p*alpha, and the last is added after the loop (digests recorded
+    # when the drift guard added each to x itself)
+    (GridSpec(2, 8), "ones", 2e-15, None, "none", (11, True, 1),
+     "9983a3368bb77b42f83513ba43727fb785f9a9a6de0428122f369a3a84da31ea"),
+    (GridSpec(2, 7), "ones", 1e-15, None, "none", (12, True, 3),
+     "369efe6bcba5b8c06bf2849ba4a074eb228e2e4ac4cc7dac6be5821ff9dc0a0c"),
 ], ids=["capped-replaced", "zr-underflow", "mass-replaced", "max-iter-plain", "max-iter-mass",
         "converged-3d-mass", "converged-2d-plain",
         *(f"{rhs}-{case}" for rhs in ("thirds", "one") for case in (
             "capped-plain", "capped-mass", "converged-1d-mass", "max-iter-mass", "converged-3d-mass",
             "converged-2d-plain", "first-iteration-mass", "first-iteration-plain")),
-        "capped-after-replacement-plain", "capped-after-replacement-mass"])
+        "capped-after-replacement-plain", "capped-after-replacement-mass",
+        "replaced-then-converged-plain", "replaced-thrice-then-converged-plain"])
 def test_every_exit_path_keeps_its_bits(spec, rhs, tol, max_iter, precondition, outcome, digest,
                                         monkeypatch):
     # the solution, residual history and outcome of each way a solve ends, on
     # every backend and clone; x is updated a pass after r, so an exit that skipped
     # bringing it up to date would change the solution's bits (digests
-    # recorded when x and r were updated in one step, and the last two when
-    # the drift guard left x to the next sweep)
+    # recorded when x and r were updated in one step, or when the comment
+    # above a case says)
     b = rhs_pattern(spec, rhs)
     config = SolveConfig(tol=tol * norm2(b), max_iter=max_iter, precondition=precondition)
     for kernels in stencil_kernels():

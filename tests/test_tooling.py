@@ -2,6 +2,7 @@
 package carries what it needs at run time."""
 
 import ast
+import collections
 import ctypes
 import hashlib
 import importlib.resources
@@ -89,6 +90,33 @@ def test_package_imports_no_unused_name():
         if imported - used:
             unused[path.name] = sorted(imported - used)
     assert not unused
+
+
+def test_package_reads_every_private_name():
+    # a refactor can leave a helper behind, too: every module-level name
+    # under src/masspcg with one leading underscore is read in the package
+    # outside the statement that defines it
+    defined, reads = {}, collections.defaultdict(set)
+    for path in sorted((ROOT / "src" / "masspcg").glob("*.py")):
+        for index, statement in enumerate(ast.parse(path.read_text()).body):
+            site = (path.name, index)
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                names = [statement.name]
+            elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+                names = [node.id for target in targets for node in ast.walk(target)
+                         if isinstance(node, ast.Name)]
+            else:
+                names = []
+            defined.update({name: site for name in names
+                            if name.startswith("_") and not name.startswith("__")})
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reads[node.id].add(site)
+                elif isinstance(node, ast.Attribute):
+                    reads[node.attr].add(site)
+    assert defined
+    assert not [name for name, site in defined.items() if not reads[name] - {site}]
 
 
 def test_solver_allocates_through_operators():
