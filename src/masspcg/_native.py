@@ -85,7 +85,7 @@ class Vector(ctypes.c_void_p):
 _F64, _I64, _VEC = ctypes.c_double, ctypes.c_int64, Vector
 SIGNATURES = {
     "laplacian": [_I64, _I64, _VEC, _VEC, _F64, _F64],
-    "mass": [_I64, _I64, _VEC, _VEC, _F64, _F64, _VEC],
+    "mass": [_I64, _I64, _VEC, _VEC, _F64, _F64],
     "r_update": [_I64, _VEC, _VEC, _F64],
     "xp_laplacian": [_I64, _I64, _VEC, _VEC, _VEC, _VEC, _F64, _F64, _F64, _F64],
 }

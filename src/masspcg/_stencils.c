@@ -29,12 +29,12 @@
  * (1, 1, n) in 1D, (1, n, n) in 2D and (n, n, n) in 3D. The numpy axes map to
  * plane, line and element in that order.
  *
- * Every kernel stores straight into its output. A store stalls later loads
- * that map to its address modulo 4096 (4K aliasing): at 3D n=128 the
- * Laplacian ran 4-6 times as slow with out 8-32 bytes past u modulo 4096, and
- * the x and p update twice as slow with z 16 bytes before p, as consecutive
- * heap blocks lie. So operators.py starts every vector it allocates, the
- * solver's work vectors and a fresh out alike, on a page.
+ * Every kernel keeps its temporaries on its stack, and stores straight into
+ * its output. A store stalls later loads that map to its address modulo 4096
+ * (4K aliasing): at 3D n=128 the Laplacian ran 4-6 times as slow with out
+ * 8-32 bytes past u modulo 4096, and the x and p update twice as slow with z
+ * 16 bytes before p, as consecutive heap blocks lie. So operators.py starts
+ * every vector it allocates, the work vectors and a fresh out alike, on a page.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -151,54 +151,59 @@ static void mass_across(double *restrict dst, const double *mid, const double *n
         dst[k] = (4.0 * mid[k] + next[k] + prev[k]) * c;
 }
 
-/* out = M_d u: in 3D the sweep across planes of each axis-0 plane into
- * scratch, n*n values; then, a line chunk at a time, the sweep across lines
- * (2D and 3D) into the LINE + 2 buffer y, which holds the chunk and one
- * neighbour on each side, -0.0 past the line's ends; then the sweep along
- * the line from y into out, times s. Each sweep is rounded to ((4*x + next) + prev) * c.
+/* out = M_d u, a line chunk at a time, chunk column outer and line inner.
+ * Each line's chunk and one neighbour on each side, values lo..hi-1, is swept
+ * across planes in 3D, once, into slot i1 % 3 of a ring of three buffers (in
+ * 2D the slots are the lines of u themselves); then across lines, from the
+ * previous, current and next slots, into the LINE + 2 buffer y (in 1D the
+ * chunk is copied in), -0.0 past the line's ends; then along the line from y
+ * into out, times s. Each sweep is rounded to ((4*x + next) + prev) * c.
  * c = h/6 and s = h**(2-d) come from the caller. */
 KERNEL
 void masspcg_mass(int64_t d, int64_t n, const double *restrict u, double *restrict out,
-                  double c, double s, double *restrict scratch)
+                  double c, double s)
 {
     ptrdiff_t m0 = d == 3 ? n : 1, m1 = d >= 2 ? n : 1, plane = m1 * n;
-    double y[LINE + 2];
+    double ring[3][LINE + 2], y[LINE + 2];
     for (ptrdiff_t i0 = 0; i0 < m0; i0++) {
-        const double *P = u + i0 * plane;
-        if (d == 3) {
-            for (ptrdiff_t a = 0; a < plane; a += LINE) {
-                ptrdiff_t len = plane - a < LINE ? plane - a : LINE;
-                mass_across(scratch + a, P + a, i0 + 1 < n ? P + plane + a : negzeros,
-                            i0 > 0 ? P - plane + a : negzeros, len, c);
-            }
-            P = scratch;
-        }
-        for (ptrdiff_t i1 = 0; i1 < m1; i1++) {
-            const double *x = P + i1 * n;
-            double *o = out + i0 * plane + i1 * n;
-            for (ptrdiff_t a = 0; a < n; a += LINE) {
-                ptrdiff_t len = n - a < LINE ? n - a : LINE;
-                /* y[j] stands for line value a - 1 + j; lo..hi are in the line */
-                ptrdiff_t lo = a > 0 ? a - 1 : a, hi = a + len < n ? a + len + 1 : n;
+        for (ptrdiff_t a = 0; a < n; a += LINE) {
+            ptrdiff_t len = n - a < LINE ? n - a : LINE;
+            /* y[j] stands for line value a - 1 + j, a slot's [j] for lo + j */
+            ptrdiff_t lo = a > 0 ? a - 1 : a, hi = a + len < n ? a + len + 1 : n;
+            for (ptrdiff_t i1 = 0; i1 < m1; i1++) {
+                const double *x = u + i0 * plane + i1 * n + lo, *mid = x;
+                const double *next = i1 + 1 < m1 ? x + n : negzeros;
+                const double *prev = i1 > 0 ? x - n : negzeros;
+                if (d == 3) {
+                    /* line i1 + 1 into its slot, over line i1 - 2, and line 0 first */
+                    for (ptrdiff_t i = i1 ? i1 + 1 : 0; i <= i1 + 1 && i < m1; i++) {
+                        const double *v = x + (i - i1) * n;
+                        mass_across(ring[i % 3], v, i0 + 1 < m0 ? v + plane : negzeros,
+                                    i0 > 0 ? v - plane : negzeros, hi - lo, c);
+                    }
+                    mid = ring[i1 % 3];
+                    next = i1 + 1 < m1 ? ring[(i1 + 1) % 3] : negzeros;
+                    prev = i1 > 0 ? ring[(i1 + 2) % 3] : negzeros;
+                }
                 y[0] = y[len + 1] = -0.0;
                 if (d >= 2)
-                    mass_across(y + 1 + lo - a, x + lo, i1 + 1 < n ? x + n + lo : negzeros,
-                                i1 > 0 ? x - n + lo : negzeros, hi - lo, c);
+                    mass_across(y + 1 + lo - a, mid, next, prev, hi - lo, c);
                 else
-                    memcpy(y + 1 + lo - a, x + lo, (size_t)(hi - lo) * sizeof(double));
+                    memcpy(y + 1 + lo - a, x, (size_t)(hi - lo) * sizeof(double));
+                double *o = out + i0 * plane + i1 * n + a;
                 for (ptrdiff_t k = 0; k < len; k++)
-                    o[a + k] = (4.0 * y[k + 1] + y[k + 2] + y[k]) * c * s;
+                    o[k] = (4.0 * y[k + 1] + y[k + 2] + y[k]) * c * s;
             }
         }
     }
 }
 
-/* The residual update r = r - Ap*alpha over N values, each product rounded
+/* The residual update r = r - Ap*alpha over size values, each product rounded
  * before the difference as numpy rounds r - Ap*alpha. */
 KERNEL
-void masspcg_r_update(int64_t N, double *restrict r, const double *Ap, double alpha)
+void masspcg_r_update(int64_t size, double *restrict r, const double *Ap, double alpha)
 {
-    for (ptrdiff_t k = 0; k < N; k++)
+    for (ptrdiff_t k = 0; k < size; k++)
         r[k] = r[k] - Ap[k] * alpha;
 }
 

@@ -1,17 +1,17 @@
 """The numpy fallback of ``masspcg.operators``, imported only when the kernels
 of ``_stencils.c`` cannot be built or loaded. It is the other implementation
 of the kernel table of ``_native.SIGNATURES``: the same names, and the same
-arguments, scalars and scratch, all computed by ``operators``. Like the
-compiled kernels it gives the bits of the bitwise reference, the whole-array
-stencils of ``tests/oracle.py``.
+arguments and scalars, computed by ``operators``; each kernel makes its own
+temporaries. Like the compiled kernels it gives the bits of the bitwise
+reference, the whole-array stencils of ``tests/oracle.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: Entries per update chunk, whose products share the one temporary of this
-#: module, a chunk or the whole vector when shorter, which is not a work vector.
+#: Entries per update chunk, whose products share one temporary per call, a
+#: chunk or the whole vector when shorter, which is not a work vector.
 CHUNK = 1 << 16
 
 
@@ -43,15 +43,14 @@ def _sweep(src: np.ndarray, dst: np.ndarray, axis: int, c: float) -> None:
     dst *= c
 
 
-def mass(d: int, n: int, u: np.ndarray, out: np.ndarray, c: float, s: float,
-         scratch: np.ndarray) -> None:
+def mass(d: int, n: int, u: np.ndarray, out: np.ndarray, c: float, s: float) -> None:
     """``out = M_d u``: the axis-0 sweep from ``u`` into ``out``, then the
-    sweeps along the other axes one axis-0 plane at a time, each through the
-    ``n**(d-1)`` values of ``scratch`` and copied back, then ``out *= s``."""
+    sweeps along the other axes one axis-0 plane at a time, each through one
+    plane buffer of ``n**(d-1)`` values and copied back, then ``out *= s``."""
     w = out.reshape((n,) * d)
     _sweep(u.reshape(w.shape), w, 0, c)
     if d > 1:
-        buffer = scratch.reshape(w.shape[1:])
+        buffer = np.empty(w.shape[1:])
         for plane in w:
             for axis in range(d - 1):
                 _sweep(plane, buffer, axis, c)

@@ -19,13 +19,13 @@ The first call to a stencil or to :func:`cg_workspace` compiles
 calls and processes reuse the cached library. Without a compiler, or when the
 build or load fails, the numpy fallback of ``_sweeps`` serves. The two are one
 kernel table with the same names and arguments (``_native.SIGNATURES``),
-whose kernels take only vectors made by its ``bind``: each operator checks
-its operands, binds them, computes the rounded scalars and the scratch once,
-and makes one call to whichever serves. A CG solve allocates its work
-vectors and binds the three kernels of its loop to them once instead
-(:func:`cg_workspace`), the x and p update fused into the next Laplacian
-sweep, so its iterations make bare kernel calls. Both give the bits of
-``tests/oracle.py``, the bitwise reference. Nothing is compiled, loaded or
+whose kernels take only vectors made by its ``bind`` and keep their own
+temporaries: each operator checks its operands, binds them, computes the
+rounded scalars once, and makes one call to whichever serves. A CG solve
+allocates its work vectors and binds the three kernels of its loop to them
+once instead (:func:`cg_workspace`), the x and p update fused into the next
+Laplacian sweep, so its iterations make bare kernel calls. Both give the bits
+of ``tests/oracle.py``, the bitwise reference. Nothing is compiled, loaded or
 parsed for either at import.
 """
 
@@ -120,24 +120,20 @@ def apply_mass(spec: GridSpec, u: np.ndarray, out: np.ndarray | None = None) -> 
 
     Implemented as d successive 1D tridiagonal sweeps with weights
     ``(h/6)*(1, 4, 1)``, one along each axis, times the dimensional scale
-    ``h**(2-d)``. The compiled kernel sweeps each axis-0 plane into scratch
-    in 3D, then each line chunk across lines into a stack buffer and along
-    it. ``out`` is as in :func:`apply_laplacian`.
+    ``h**(2-d)``. The compiled kernel takes a line chunk at a time through
+    stack buffers: across planes in 3D, across lines, then along the line.
+    ``out`` is as in :func:`apply_laplacian`.
     """
     u, out = _operands(spec, u, out)
-    d, n, h = spec.d, spec.n, spec.h
     kernels = _backend()
-    # one axis-0 plane for both backends: the compiled kernel's across-planes
-    # sweep in 3D, and the plane the numpy sweeps go through
-    bu, bout, scratch = kernels.bind(u, out, _vector(n ** (d - 1)))
-    kernels.mass(d, n, bu, bout, h / 6.0, h ** (2 - d), scratch)
+    kernels.mass(spec.d, spec.n, *kernels.bind(u, out), spec.h / 6.0, spec.h ** (2 - spec.d))
     return out
 
 
 def cg_workspace(spec: GridSpec, b: np.ndarray, mass: bool) -> tuple:
     """The work vectors of one CG solve of ``A x = b``, each on a page, and
-    the kernels of its iteration bound to them once, with their scalars and
-    scratch: ``(x, r, p, Ap, z, xp_laplacian, step, mass)``. x = 0, r = b,
+    the kernels of its iteration bound to them once, with their scalars:
+    ``(x, r, p, Ap, z, xp_laplacian, step, mass)``. x = 0, r = b,
     p = 0 and Ap unset; z is Ap in mass PCG and r in plain CG.
     ``xp_laplacian(alpha, beta)`` makes ``x += p*alpha``, then
     ``p = p*beta + z``, then ``Ap = A p`` in one sweep; ``step(alpha)`` makes
@@ -147,10 +143,9 @@ def cg_workspace(spec: GridSpec, b: np.ndarray, mass: bool) -> tuple:
     x, r, p, Ap = _vector(size, 0.0), _vector(size, b), _vector(size, 0.0), _vector(size)
     z = Ap if mass else r
     kernels = _backend()
-    scratch = (_vector(n ** (d - 1)),) if mass else ()
-    bx, br, bp, bAp, bz, *scratch = kernels.bind(x, r, p, Ap, z, *scratch)
+    bx, br, bp, bAp, bz = kernels.bind(x, r, p, Ap, z)
     diag, h2, xp = 2.0 * d, h**2, kernels.xp_laplacian
     return (x, r, p, Ap, z,
             lambda alpha, beta: xp(d, n, bx, bp, bz, bAp, alpha, beta, diag, h2),
             partial(kernels.r_update, size, br, bAp),
-            partial(kernels.mass, d, n, br, bz, h / 6.0, h ** (2 - d), *scratch) if mass else None)
+            partial(kernels.mass, d, n, br, bz, h / 6.0, h ** (2 - d)) if mass else None)

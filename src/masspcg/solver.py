@@ -24,6 +24,7 @@ leaving x and alpha to the next sweep. The inner products stay whole-vector
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +59,7 @@ class SolveConfig:
     record_history: bool = True
 
     def __post_init__(self):
-        if isinstance(self.tol, (bool, np.bool_)) or not self.tol > 0:
+        if not isinstance(self.tol, numbers.Real) or isinstance(self.tol, bool) or not self.tol > 0:
             raise ValueError(f"tol must be a positive number, got {self.tol}")
         if self.max_iter is not None and (not is_integer(self.max_iter) or self.max_iter < 1):
             raise ValueError(f"max_iter must be a positive integer or None, got {self.max_iter}")
@@ -66,6 +67,8 @@ class SolveConfig:
             raise ValueError(
                 f"precondition must be one of {PRECONDITION_KINDS}, got {self.precondition!r}"
             )
+        if not isinstance(self.record_history, (bool, np.bool_)):
+            raise ValueError(f"record_history must be a bool, got {self.record_history!r}")
 
     def resolved_max_iter(self, spec: GridSpec) -> int:
         return self.max_iter if self.max_iter is not None else 10 * spec.size

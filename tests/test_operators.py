@@ -231,10 +231,10 @@ def test_compiled_kernels_refuse_a_bare_array():
     # passed on as a raw pointer
     if native.compiler() is None:
         pytest.skip("no C compiler")
-    u, v, w, out, scratch = np.ones(4), np.ones(4), np.ones(4), np.zeros(4), np.zeros(1)
+    u, v, w, out = np.ones(4), np.ones(4), np.ones(4), np.zeros(4)
     calls = {
         "laplacian": (1, 4, u, out, 2.0, 0.04),
-        "mass": (1, 4, u, out, 0.05, 0.2, scratch),
+        "mass": (1, 4, u, out, 0.05, 0.2),
         "r_update": (4, out, u, 0.5),
         "xp_laplacian": (1, 4, u, v, w, out, 0.5, 0.5, 2.0, 0.04),
     }
@@ -385,19 +385,19 @@ class CountedKernels:
 @pytest.mark.parametrize("spec", [GridSpec(1, 1), GridSpec(2, 16), GridSpec(3, 32), GridSpec(3, 64)],
                          ids=str)
 def test_fresh_out_starts_on_a_page(spec, monkeypatch):
-    # without out, the operators allocate one on a page, and the mass
-    # operator its scratch plane: the kernels store in place, and a fresh
-    # block can follow u a few bytes apart modulo 4096
+    # without out, the operators allocate one on a page: the kernels store in
+    # place, and a fresh block can follow u a few bytes apart modulo 4096.
+    # Each kernel keeps its own temporaries, so both operators bind exactly
+    # the caller's u and that out
     u, bound = np.ones(spec.size), []
     for kernels in stencil_kernels():
         monkeypatch.setattr(operators, "_kernels", CountedKernels(
             kernels, lambda name, args: bound.extend(args) if name == "bind" else None))
-        for apply, fresh in ((apply_laplacian, 1), (apply_mass, 2)):
+        for apply in (apply_laplacian, apply_mass):
             bound.clear()
-            assert apply(spec, u).ctypes.data % 4096 == 0, (kernels, apply)
-            # the caller's u, then out and the mass scratch
-            assert bound[0] is u and len(bound) == 1 + fresh, (kernels, apply)
-            assert all(v.ctypes.data % 4096 == 0 for v in bound[1:]), (kernels, apply)
+            out = apply(spec, u)
+            assert out.ctypes.data % 4096 == 0, (kernels, apply)
+            assert len(bound) == 2 and bound[0] is u and bound[1] is out, (kernels, apply)
 
 
 def expected_updates(x, r, p, Ap, z, alpha, beta):
@@ -539,14 +539,13 @@ def test_no_compiler_falls_back_to_numpy_bits(monkeypatch):
 @pytest.mark.parametrize("spec", [GridSpec(3, 64), GridSpec(2, 512)], ids=str)
 def test_fallback_allocates_no_vector_sized_temporary(spec):
     # the solver's memory budget counts its work vectors only, so the numpy
-    # fallback may allocate scratch of a plane or a chunk, never of a vector
+    # fallback may allocate a temporary of a plane or a chunk, never of a vector
     rng = np.random.default_rng(spec.n)
     x, r, p, Ap = (rng.standard_normal(spec.size) for _ in range(4))
     d, n, h, size = spec.d, spec.n, spec.h, spec.size
-    scratch = np.empty(n ** (d - 1))  # the mass scratch of operators: one axis-0 plane
     calls = {
         "laplacian": lambda: sweeps.laplacian(d, n, x, r, 2.0 * d, h**2),
-        "mass": lambda: sweeps.mass(d, n, x, r, h / 6.0, h ** (2 - d), scratch),
+        "mass": lambda: sweeps.mass(d, n, x, r, h / 6.0, h ** (2 - d)),
         "r_update": lambda: sweeps.r_update(size, r, Ap, 0.37),
         "xp_laplacian": lambda: sweeps.xp_laplacian(d, n, x, p, r, Ap, 0.37, 1.9, 2.0 * d, h**2),
     }

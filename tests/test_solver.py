@@ -200,6 +200,22 @@ def test_bool_is_neither_an_integer_nor_a_tolerance():
                 make(flag)
 
 
+@pytest.mark.parametrize("field, value", [("tol", "1e-8"), ("tol", None), ("tol", [1e-8]),
+                                          ("record_history", "no"), ("record_history", None),
+                                          ("record_history", 0)])
+def test_config_refuses_a_value_of_another_type(field, value):
+    # a string or None tol failed the > comparison with a bare TypeError, and
+    # a truthy string recorded the history
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        SolveConfig(**{field: value})
+
+
+def test_config_takes_numpy_scalars():
+    config = SolveConfig(tol=np.float64(1e-8), record_history=np.False_)
+    assert config.tol == 1e-8 and not config.record_history
+    assert SolveConfig(tol=np.float32(1e-3), record_history=True).tol > 0
+
+
 def test_max_iter_must_be_an_integer():
     # a fractional cap would run past itself (2.5 ran 3 iterations, reported
     # as the cap); integers of numpy's types pass, as GridSpec's n does
@@ -502,8 +518,7 @@ def test_every_exit_path_keeps_its_bits(spec, rhs, tol, max_iter, precondition, 
 def test_work_vectors_start_on_a_page(monkeypatch):
     # the kernels store in place, and a store stalls later loads that map to
     # its address modulo 4096, as in consecutive heap blocks: a solve puts x,
-    # r, p and Ap (z too) on pages, where no load maps to a recent store, and
-    # so the mass scratch plane
+    # r, p and Ap (z too) on pages, where no load maps to a recent store
     bound = []
     counted_kernels(monkeypatch, lambda name, args: bound.extend(args) if name == "bind" else None)
     for precondition in ("none", "mass"):
@@ -516,7 +531,7 @@ def test_work_vectors_start_on_a_page(monkeypatch):
 def test_solve_stays_within_its_work_vectors(precondition, monkeypatch):
     # more than CHUNK values, so the numpy update's temporary is a chunk; the
     # caller's b is allocated before tracing, so a solve may add the other
-    # WORK_VECTORS - 1, the mass scratch plane, that chunk and small change
+    # WORK_VECTORS - 1, the numpy mass sweep's plane, that chunk and small change
     spec = GridSpec(3, 48)
     assert spec.size > sweeps.CHUNK
     b = np.ones(spec.size)

@@ -199,11 +199,15 @@ def test_every_kernel_helper_is_inlined():
 
 def test_numpy_fallback_implements_the_kernel_table():
     # operators calls whichever backend serves with the same arguments, so
-    # every kernel must exist in _sweeps under its table name and arity
+    # every kernel must exist in _sweeps under its table name and arity, its
+    # parameters named as the C kernel's, in the same order
+    exported = dict(re.findall(r"^void masspcg_(\w+)\(([^)]*)\)", native.SOURCE.read_text(), re.M))
     for name, argtypes in native.SIGNATURES.items():
         function = getattr(sweeps, name, None)
         assert inspect.isfunction(function), name
-        assert len(inspect.signature(function).parameters) == len(argtypes), name
+        parameters = list(inspect.signature(function).parameters)
+        assert len(parameters) == len(argtypes), name
+        assert parameters == [re.findall(r"\w+", param)[-1] for param in exported[name].split(",")], name
 
 
 LAZY_IMPORT_PROBE = """
