@@ -157,7 +157,7 @@ def cg_solve(
 
     rr, res = _residual(r)
     history = [res]
-    iterations = replacements = drift_checks = 0
+    iterations = replacements = 0
 
     # Each pass makes z = M r and <z, r>, and stops there on <z, r> underflow
     # (the attainable-accuracy floor) or on the cap. The sweep that makes A p
@@ -181,7 +181,6 @@ def cg_solve(
         iterations += 1
         if res < cfg.tol:
             # Drift guard: r = b - A(x + p*alpha), x + p*alpha built in dead Ap
-            drift_checks += 1
             np.add(x, np.multiply(p, alpha, out=Ap), out=Ap)
             np.subtract(b, apply_laplacian(spec, Ap, out=r), out=r)
             rr, res = _residual(r)
@@ -191,6 +190,7 @@ def cg_solve(
     # x lacks the last p*alpha on every exit; Ap and z are dead
     x += np.multiply(p, alpha, out=Ap)
     converged = res < cfg.tol
+    drift_checks = replacements + int(converged and iterations > 0)
 
     return SolveReport(
         iterations=iterations,

@@ -165,12 +165,13 @@ def rayleigh_eigenvalues(kind: OperatorKind, spec: GridSpec) -> list[RayleighEig
     return out
 
 
-def full_scan_argmax(spec: GridSpec) -> tuple[int, ...]:
+def full_scan_argmax(spec: GridSpec, block: int = 1 << 22) -> tuple[int, ...]:
     """Argmax frequency tuple of the preconditioned spectrum by the full scan.
 
     The parabola-vertex reduction over every assignment of the other ``d-1``
-    coordinates, in blocks of ``spectrum._SCAN_CHUNK`` tuples, offset 0
-    before -1, the first maximum kept.
+    coordinates, in blocks of about ``block`` tuples (whole rows of the first
+    other coordinate, at least one), offset 0 before -1, the first maximum
+    kept.
     """
     n, d, top = spec.n, spec.d, spec.n
     if d == 1:
@@ -183,7 +184,7 @@ def full_scan_argmax(spec: GridSpec) -> tuple[int, ...]:
     # ascending: position i holds k = top - i
     others = list(np.meshgrid(*([cs] * (d - 1)), indexing="ij", sparse=True))
     stride = n ** max(d - 2, 0)  # tuples per position of the first other coordinate
-    rows = max(1, spectrum._SCAN_CHUNK // stride)
+    rows = max(1, block // stride)
     best_val, best = -np.inf, ()
     for start in range(0, n if others else 1, rows):
         s_other, p_other = 0.0, 1.0

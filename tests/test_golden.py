@@ -26,7 +26,7 @@ GOLDEN = [
      "13a03103b219f3f807c3da7bdb147e60326515e2679fd0c51154c503a35f8bb4", ""),
     (("condition", "--dim", "3", "--n", "32", "--n", "100", "--n", "512"), 0,
      "1149b6abd76345983447b2822bb8e9ee3ce0f106437db73be2abdeab92737290", ""),
-    # the only 3D sizes whose extreme-eigenvalue scan runs in more than one block
+    # the only 3D sizes whose unpruned scan ran in more than one block of 2**22 tuples
     (("condition", "--dim", "3", "--n", "2049", "--n", "4096"), 0,
      "43b479eb9253a27a596bf7d6abc8b812e92b7f4b385cb89166b8a7d7b3faae56", ""),
     (("spectrum", "--dim", "3", "--n", "20", "--kind", "laplacian"), 0,

@@ -57,6 +57,29 @@ def test_bad_indices_rejected():
             eigenvalue(OperatorKind.LAPLACIAN, spec, k)
 
 
+def test_non_integer_indices_rejected():
+    # int() would truncate 1.9 to 1 and read True as 1 and "3" as 3
+    spec = GridSpec(2, 8)
+    for k in [(1.9, 2), (2.0, 2), (True, 2), ("3", 2), (np.float64(1), 2)]:
+        with pytest.raises(ValueError):
+            eigenvalue(OperatorKind.LAPLACIAN, spec, k)
+    value = eigenvalue(OperatorKind.LAPLACIAN, spec, (1, 2))
+    assert eigenvalue(OperatorKind.LAPLACIAN, spec, (np.int64(1), np.int32(2))) == value
+    assert eigenvalue(OperatorKind.LAPLACIAN, spec, np.array([1, 2])) == value
+
+
+@pytest.mark.parametrize("kind", ["mass", "laplacian", "preconditioned", None, 1])
+def test_kind_must_be_an_operator_kind(kind):
+    # a kind that is not an OperatorKind fell through to "preconditioned"
+    spec = GridSpec(2, 8)
+    with pytest.raises(ValueError):
+        eigenvalue(kind, spec, (1, 1))
+    with pytest.raises(ValueError):
+        full_spectrum(kind, spec)
+    with pytest.raises(ValueError):
+        spectrum_report(kind, spec)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("spec", [GridSpec(1, 9), GridSpec(2, 4), GridSpec(3, 3)], ids=str)
 def test_full_spectrum_sorted_and_complete(kind, spec):
@@ -234,17 +257,6 @@ def test_preconditioned_argmax_pinned(d):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("n", [5, 17, 64])
-def test_multi_block_scan_matches_single_block(n, monkeypatch):
-    spec = GridSpec(3, n)
-    whole = spectrum_report(OperatorKind.PRECONDITIONED, spec)
-    for chunk in (1, 7, 64):
-        monkeypatch.setattr(spectrum, "_SCAN_CHUNK", chunk)
-        blocked = spectrum_report(OperatorKind.PRECONDITIONED, spec)
-        assert blocked.argmax == whole.argmax
-        assert blocked.kappa == whole.kappa
-
-
 # the pruned scan against the full one: every 2D and 3D size up to a limit,
 # the 3D sizes around the benchmark's and 2D far past them
 ORACLE_SIZES = {
@@ -263,12 +275,25 @@ def test_pruned_scan_matches_full_scan(sizes):
 
 
 @pytest.mark.parametrize("n", [5, 17, 64])
-def test_pruned_scan_keeps_the_block_tie_order(n, monkeypatch):
-    # with small blocks the first maximum found depends on the block order
+def test_one_pass_scan_matches_the_full_scan_in_any_blocks(n):
+    # the full scan keeps the first maximum of each block, so with small
+    # blocks its tie order is the block order; the one-pass scan must agree
+    # with it at every block size, and the report's argmax and kappa with it
     spec = GridSpec(3, n)
-    for chunk in (1, 7, 64):
-        monkeypatch.setattr(spectrum, "_SCAN_CHUNK", chunk)
-        assert spectrum._preconditioned_max(spec) == full_scan_argmax(spec)
+    report = spectrum_report(OperatorKind.PRECONDITIONED, spec)
+    for block in (1, 7, 64, 1 << 22):
+        argmax = full_scan_argmax(spec, block)
+        assert spectrum._preconditioned_max(spec) == report.argmax == argmax, block
+        lambda_max = eigenvalue(OperatorKind.PRECONDITIONED, spec, argmax)
+        assert report.kappa == lambda_max / report.lambda_min, block
+
+
+@pytest.mark.parametrize("n, argmax", [(2**24 - 1, (8388608, 8388608)),
+                                       (2**24, (8388608, 8388609))])
+def test_2d_argmax_pinned_at_the_scan_cap(n, argmax):
+    # the largest 2D grids the scan takes: at n = 2**24 - 1 the AM-GM bound
+    # keeps 25 rows, the most of any grid tried
+    assert spectrum_report(OperatorKind.PRECONDITIONED, GridSpec(2, n)).argmax == argmax
 
 
 def full_scan_row_maxima(spec):

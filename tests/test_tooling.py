@@ -238,3 +238,28 @@ def test_kernel_modules_are_imported_lazily():
         pytest.skip("no C compiler on PATH: the numpy fallback serves")
     assert probe["compiled"]
     assert not probe["sweeps_after_call"]
+
+
+MASKED_ARRAY_PROBE = """
+import contextlib, io, json, sys
+from masspcg.cli import main
+commands = [["condition", "--dim", "3", "--n", "512"], ["table1"],
+            ["spectrum", "--dim", "2", "--n", "32", "--kind", "preconditioned"],
+            ["solve", "--dim", "2", "--n", "16", "--precond", "mass"]]
+codes = []
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"codes": codes, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_commands_leave_numpy_ma_unimported():
+    # helpers such as np.unique import numpy.ma, which added 1.7 MB to the
+    # peak resident size of the benchmark's spectra workload
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", MASKED_ARRAY_PROBE], cwd=ROOT, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"codes": [0, 0, 0, 0], "numpy.ma": False}
