@@ -19,6 +19,7 @@ import dataclasses
 import math
 import os
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -200,8 +201,8 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
 
 
-def spectrum_cells(kind: OperatorKind, spec: GridSpec) -> list[tuple[str, str]]:
-    """(index, eigenvalue) string rows of the sorted spectrum, 1-based rank."""
+def spectrum_cells(kind: OperatorKind, spec: GridSpec) -> Iterator[tuple[str, str]]:
+    """(index, eigenvalue) string rows of the sorted spectrum, 1-based rank, made as read."""
     # repr of a float round-trips exactly, so data files are bit-faithful. It
     # is the costly step, and the sort puts equal values side by side (swapped
     # frequency indices give equal bits), so each run's value is formatted once
@@ -212,14 +213,15 @@ def spectrum_cells(kind: OperatorKind, spec: GridSpec) -> list[tuple[str, str]]:
         runs = np.diff(starts, append=values.size)
         text = np.repeat(np.array(list(text), dtype=object), runs).tolist()
     # an int's repr is its str, and a cheaper call than the str constructor
-    return list(zip(map(repr, range(1, values.size + 1)), text))
+    return zip(map(repr, range(1, values.size + 1)), text)
 
 
-def residual_cells(report: SolveReport) -> list[tuple[str, str]]:
-    """(iter, residual_norm) string rows from a recorded solve history."""
+def residual_cells(report: SolveReport) -> Iterator[tuple[str, str]]:
+    """(iter, residual_norm) string rows from a recorded solve history, made as read."""
     if report.residual_history is None:
         raise ValueError("solve was run without record_history")
-    return [(str(i), repr(v)) for i, v in enumerate(report.residual_history.tolist())]
+    history = report.residual_history.tolist()
+    return zip(map(repr, range(len(history))), map(repr, history))
 
 
 def condition_cells(rows: list[RatioReport]) -> list[tuple[str, ...]]:
@@ -254,7 +256,7 @@ def iteration_cells(rows: list[IterationRow]) -> list[tuple[str, ...]]:
 
 
 def render_table(headers, cells, fmt: str = "csv") -> str:
-    """Render pre-formatted string rows as CSV (UTF-8, LF) or a markdown table."""
+    """Render string rows, any iterable read once, as CSV (UTF-8, LF) or a markdown table."""
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
     if fmt == "csv":
@@ -264,7 +266,8 @@ def render_table(headers, cells, fmt: str = "csv") -> str:
         lines = ["| " + " | ".join(headers) + " |"]
         lines.append("| " + " | ".join("---" for _ in headers) + " |")
         lines += map("| {} |".format, map(" | ".join, cells))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the joined text
+    return "\n".join(lines)
 
 
 def write_text(text: str, path: str | None):

@@ -187,8 +187,8 @@ def _preconditioned_max(spec: GridSpec) -> tuple[int, ...]:
     Only rows whose bound times ``1 + 1e-12`` reaches the best value of the
     row of largest bound are scanned (rounding lifts a value over its bound by
     a few ulps at most). No skipped row holds a maximum, and the kept rows are
-    scanned in one pass, in the full scan's order (offset 0 then -1, row,
-    column) and arithmetic, so the first maximum found is the full scan's.
+    scanned in one pass with the full scan's arithmetic, so the sorted argmax
+    is the full scan's; which tuple of a tie is taken is not promised.
     """
     n, d, top = spec.n, spec.d, spec.n
     if d == 1:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from masspcg.experiments import (
     table1_rows,
     write_text,
 )
-from masspcg.spectrum import OperatorKind, full_spectrum
+from masspcg.spectrum import OperatorKind, SpectrumCapError, full_spectrum
 
 
 def test_rhs_ones():
@@ -122,7 +124,7 @@ def test_table2_case_list():
 
 
 def test_spectrum_cells_trivial():
-    cells = spectrum_cells(OperatorKind.PRECONDITIONED, GridSpec(1, 1))
+    cells = list(spectrum_cells(OperatorKind.PRECONDITIONED, GridSpec(1, 1)))
     assert len(cells) == 1
     index, value = cells[0]
     assert index == "1"
@@ -136,7 +138,7 @@ def test_spectrum_cells_format_every_row(kind, d, n):
     # rows must be those of formatting every value on its own
     spec = GridSpec(d, n)
     naive = [(str(k), repr(v)) for k, v in enumerate(full_spectrum(kind, spec).tolist(), 1)]
-    assert spectrum_cells(kind, spec) == naive
+    assert list(spectrum_cells(kind, spec)) == naive
 
 
 def test_run_starts_compares_bits():
@@ -150,12 +152,12 @@ def test_run_starts_compares_bits():
 def test_residual_cells_requires_history():
     report = run_solve(GridSpec(1, 5), record_history=False)
     with pytest.raises(ValueError):
-        residual_cells(report)
+        residual_cells(report)  # at the call: the rows are lazy, the check is not
 
 
 def test_residual_cells_shape():
     report = run_solve(GridSpec(1, 5))
-    cells = residual_cells(report)
+    cells = list(residual_cells(report))
     assert cells[0][0] == "0"
     assert len(cells) == report.iterations + 1
     assert float(cells[-1][1]) == report.residual_history[-1]
@@ -172,8 +174,56 @@ def test_render_markdown():
 
 
 def test_render_rejects_unknown_format():
+    # before it reads a row
+    cells = (row for row in [("1", "2.0")])
     with pytest.raises(ValueError):
-        render_table(("a",), [], "tsv")
+        render_table(("a", "b"), cells, "tsv")
+    assert next(cells) == ("1", "2.0")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "markdown"])
+@pytest.mark.parametrize("rows", [[], [("1", "2.0")], [("1", "2.0"), ("3", "4.5"), ("5", "-0.0")]])
+def test_render_reads_a_one_shot_iterator_like_a_list(rows, fmt):
+    assert render_table(("a", "b"), (row for row in rows), fmt) == render_table(("a", "b"), rows, fmt)
+
+
+@pytest.mark.parametrize("kind", list(OperatorKind))
+def test_spectrum_cells_raise_the_cap_at_the_call(kind):
+    # the cell builders return lazy rows, but they are not generator
+    # functions: a grid over the cap fails before anything is iterated
+    with pytest.raises(SpectrumCapError):
+        spectrum_cells(kind, GridSpec(2, 1025))
+
+
+def traced_peak(make):
+    tracemalloc.start()
+    try:
+        result = make()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_spectrum_render_holds_no_row_list():
+    # the rows are joined as they are made: a list of row tuples pushes the
+    # traced peak past 8x the text (10.4x; 6.0x without it, 11.4x with a
+    # second copy of the text too)
+    text, peak = traced_peak(
+        lambda: render_table(SPECTRUM_HEADERS, spectrum_cells(OperatorKind.PRECONDITIONED, GridSpec(2, 256)))
+    )
+    assert text.count("\n") == 256 * 256 + 1
+    assert peak <= 8 * len(text)
+
+
+@pytest.mark.parametrize("fmt, copies", [("csv", 1), ("markdown", 2)])
+def test_render_joins_the_text_once(fmt, copies):
+    # a one-cell csv row is its cell, not a new string, so the traced peak is
+    # the text itself; a markdown row is one new string per row. A second
+    # copy of the joined text would add one more text
+    rows = [("x" * 2**20,)] * 8
+    text, peak = traced_peak(lambda: render_table(("a",), rows, fmt))
+    assert len(text) > 8 * 2**20
+    assert peak < (copies + 0.5) * len(text)
 
 
 def test_headers_are_stable_contracts():

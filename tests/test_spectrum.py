@@ -291,7 +291,9 @@ def test_multi_block_scan_matches_single_block(n):
 def test_pruned_scan_keeps_the_block_tie_order(n):
     # the full scan keeps the first maximum of each block, so with small
     # blocks its tie order is the block order; the one-pass scan must agree
-    # with it at every block size
+    # with it at every block size. This pins the sorted argmax, not the scan
+    # order: at n = 5, (2, 3, 3) ties (2, 2, 3) in the scan's arithmetic, but
+    # it is both the first and the last maximum in any order of the axes
     spec = GridSpec(3, n)
     for block in (1, 7, 64, 1 << 22):
         assert spectrum._preconditioned_max(spec) == full_scan_argmax(spec, block), block
