@@ -204,7 +204,7 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
 def spectrum_cells(kind: OperatorKind, spec: GridSpec) -> Iterator[tuple[str, str]]:
     """(index, eigenvalue) string rows of the sorted spectrum, 1-based rank, made as read."""
     # repr of a float round-trips exactly, so data files are bit-faithful. It
-    # is the costly step, and the sort puts equal values side by side (swapped
+    # is the costly step, and the sort puts equal values side by side (permuted
     # frequency indices give equal bits), so each run's value is formatted once
     values = full_spectrum(kind, spec)
     starts = _run_starts(values)

@@ -88,10 +88,9 @@ class ClosedFormCheck:
 class SpectrumReport:
     """Extreme eigenvalues and condition number of one operator instance.
 
-    ``argmin``/``argmax`` are frequency-index tuples (sorted ascending; the
-    eigenvalue is symmetric under permutation) at which the extremes are
-    attained. ``closed_form`` is populated for the preconditioned operator
-    only.
+    ``argmin``/``argmax`` are sorted frequency-index tuples at which the
+    extremes are attained (permuting a tuple keeps its eigenvalue's bits).
+    ``closed_form`` is populated for the preconditioned operator only.
     """
 
     kind: OperatorKind
@@ -140,9 +139,13 @@ def _eigenvalues(kind: OperatorKind, spec: GridSpec, cosines):
     """Closed-form eigenvalues from per-axis cosines ``cosines[j] = cos(pi*h*k_j)``.
 
     The entries may be scalars or broadcastable arrays. The sum and product
-    accumulate left to right over the axes, so every caller gets bit-identical
-    values for the same frequency tuple.
+    take the cosines in ascending order (three pass a min/max network; two
+    commute), so the bits depend only on the multiset of frequencies.
     """
+    if len(cosines) == 3:
+        a, b, c = cosines
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        cosines = np.minimum(lo, c), np.maximum(lo, np.minimum(hi, c)), np.maximum(hi, c)
     s, p = 0.0, 1.0
     for c in cosines:
         s = s + (1.0 - c)
@@ -183,14 +186,14 @@ def _preconditioned_max(spec: GridSpec) -> tuple[int, ...]:
     remaining cosine ``x``, a concave parabola, so the per-coordinate discrete
     argmax is one of the two cosines bracketing the vertex ``(K-2)/2``. For
     d >= 2 a row fixes the first other cosine ``y`` too; AM-GM over the ``d``
-    factors left (sum ``3d-2-y``) bounds it by ``(2+y) * ((3d-2-y)/d)**d``.
+    factors left (sum ``3d-2-y``) bounds it by ``(2/3**d)(2+y)((3d-2-y)/d)**d``.
     Only rows whose bound times ``1 + 1e-12`` reaches the best value of the
     row of largest bound are scanned (rounding lifts a value over its bound by
-    a few ulps at most). No skipped row holds a maximum, and the kept rows are
-    scanned in one pass with the full scan's arithmetic, so the sorted argmax
-    is the full scan's; which tuple of a tie is taken is not promised.
+    a few ulps at most), in one pass, the candidates ranked by
+    :func:`_eigenvalues`. No skipped row holds a maximum, so the argmax's value
+    is the largest in :func:`full_spectrum`, bit for bit.
     """
-    n, d, top = spec.n, spec.d, spec.n
+    n, d, top, kind = spec.n, spec.d, spec.n, OperatorKind.PRECONDITIONED
     if d == 1:
         # 1D needs only the cosines around the vertex -1/2, at k = 2/(3h)
         top = min(n, int(2.0 / (3.0 * spec.h)) + 4)
@@ -201,19 +204,16 @@ def _preconditioned_max(spec: GridSpec) -> tuple[int, ...]:
     others = list(np.meshgrid(*([cs] * (d - 1)), indexing="ij", sparse=True, copy=False))
 
     def scan(rows):  # first largest value over the rows, and its positions
-        s_other, p_other = 0.0, 1.0
-        for o in [o[rows] for o in others[:1]] + others[1:]:
-            s_other = s_other + o
-            p_other = p_other * (2.0 + o)
-        pos = np.searchsorted(cs, (d - s_other - 2.0) / 2.0)
+        other = [o[rows] for o in others[:1]] + others[1:]
+        pos = np.searchsorted(cs, (d - sum(other, 0.0) - 2.0) / 2.0)
         j = np.clip([pos, pos - 1], 0, len(cs) - 1)
-        lam = np.reshape((2.0 + cs[j]) * p_other * (d - s_other - cs[j]), (2, len(rows), -1))
+        lam = np.reshape(_eigenvalues(kind, spec, [cs[j], *other]), (2, len(rows), -1))
         i = np.unravel_index(np.argmax(lam), lam.shape)
         return lam[i], (j.reshape(lam.shape)[i], rows[i[1]], i[2])[:d]
 
     rows = np.zeros(1, dtype=np.intp)  # 1D: the one scan
     if others:
-        bound = (2.0 + cs) * ((3 * d - 2 - cs) / d) ** d
+        bound = 2.0 / 3.0**d * (2.0 + cs) * ((3 * d - 2 - cs) / d) ** d
         floor, _ = scan(rows + np.argmax(bound))
         rows = np.flatnonzero(bound * (1.0 + 1e-12) >= floor)
     return tuple(sorted(top - int(i) for i in scan(rows)[1]))

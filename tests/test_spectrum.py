@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -136,16 +137,38 @@ def test_mass_report_extremes_reversed(spec):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-@pytest.mark.parametrize("spec", [GridSpec(1, 50), GridSpec(2, 20), GridSpec(3, 7)], ids=str)
+@pytest.mark.parametrize("spec", [GridSpec(1, 50), GridSpec(2, 20), GridSpec(3, 7)]
+                         + [GridSpec(3, n) for n in (10, 17, 41, 50, 72, 100)], ids=str)
 def test_report_matches_enumeration(kind, spec):
-    # scan-based extremes equal the ends of the fully enumerated spectrum
+    # scan-based extremes are the ends of the fully enumerated spectrum, bit
+    # for bit. On the six 3D grids above, the preconditioned lambda_max fell
+    # an ulp or two below the last value while a tuple's value depended on
+    # the order of its frequencies
     report = spectrum_report(kind, spec)
     values = full_spectrum(kind, spec)
-    assert report.lambda_min == pytest.approx(values[0], rel=1e-12)
-    assert report.lambda_max == pytest.approx(values[-1], rel=1e-12)
-    assert report.kappa == pytest.approx(values[-1] / values[0], rel=1e-12)
+    assert report.lambda_min == values[0]
+    assert report.lambda_max == values[-1]
+    assert report.kappa == values[-1] / values[0]
     assert eigenvalue(kind, spec, report.argmin) == pytest.approx(report.lambda_min, rel=1e-14)
     assert eigenvalue(kind, spec, report.argmax) == pytest.approx(report.lambda_max, rel=1e-14)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_3d_eigenvalues_are_symmetric_under_permutation(kind):
+    # the bits depend only on the multiset of frequencies: every axis
+    # permutation of every 3D tuple gives the same value, for every n <= 40
+    for n in range(1, 41):
+        spec = GridSpec(3, n)
+        c = spectrum.axis_cosines(spec)
+        values = spectrum._eigenvalues(kind, spec, np.meshgrid(c, c, c, indexing="ij", sparse=True))
+        for axes in itertools.permutations(range(3)):
+            np.testing.assert_array_equal(values.transpose(axes), values, err_msg=f"n={n} {axes}")
+    # and through eigenvalue(): (4, 5, 5) and (5, 5, 4) read 1.8886173802647783
+    # and 1.888617380264779 when the terms were summed in axis order
+    spec = GridSpec(3, 10)
+    for k in [(4, 5, 5), (1, 2, 6), (1, 3, 4)]:
+        values = {eigenvalue(kind, spec, p) for p in itertools.permutations(k)}
+        assert values == {eigenvalue(kind, spec, k)}, k
 
 
 def test_report_kappa_is_dimension_independent_for_laplacian():
@@ -275,28 +298,18 @@ def test_pruned_scan_matches_full_scan(sizes):
 
 
 @pytest.mark.parametrize("n", [5, 17, 64])
-def test_multi_block_scan_matches_single_block(n):
-    # the full scan in small blocks finds the same maximum as in one block,
-    # and the report's argmax and kappa are that maximum's
-    spec = GridSpec(3, n)
-    whole = full_scan_argmax(spec, 1 << 22)
-    report = spectrum_report(OperatorKind.PRECONDITIONED, spec)
-    lambda_max = eigenvalue(OperatorKind.PRECONDITIONED, spec, whole)
-    assert report.kappa == lambda_max / report.lambda_min
-    for block in (1, 7, 64):
-        assert full_scan_argmax(spec, block) == report.argmax == whole, block
-
-
-@pytest.mark.parametrize("n", [5, 17, 64])
-def test_pruned_scan_keeps_the_block_tie_order(n):
-    # the full scan keeps the first maximum of each block, so with small
-    # blocks its tie order is the block order; the one-pass scan must agree
-    # with it at every block size. This pins the sorted argmax, not the scan
-    # order: at n = 5, (2, 3, 3) ties (2, 2, 3) in the scan's arithmetic, but
-    # it is both the first and the last maximum in any order of the axes
-    spec = GridSpec(3, n)
-    for block in (1, 7, 64, 1 << 22):
-        assert spectrum._preconditioned_max(spec) == full_scan_argmax(spec, block), block
+def test_report_argmax_and_kappa_are_the_full_scans(n):
+    # the report's argmax is the oracle's, and its kappa is that tuple's
+    # eigenvalue over lambda_min. At n = 5, (2, 3, 3) and (2, 2, 3) tie in the
+    # oracle's parabola arithmetic, but not in the eigenvalue's
+    kind, spec = OperatorKind.PRECONDITIONED, GridSpec(3, n)
+    report = spectrum_report(kind, spec)
+    argmax = full_scan_argmax(spec)
+    assert report.argmax == argmax
+    assert report.kappa == eigenvalue(kind, spec, argmax) / report.lambda_min
+    if n == 5:
+        assert argmax == (2, 3, 3)
+        assert eigenvalue(kind, spec, (2, 3, 3)) > eigenvalue(kind, spec, (2, 2, 3))
 
 
 @pytest.mark.parametrize("n, argmax", [(2**24 - 1, (8388608, 8388608)),
@@ -309,30 +322,30 @@ def test_2d_argmax_pinned_at_the_scan_cap(n, argmax):
 
 def full_scan_row_maxima(spec):
     # the largest value the full scan computes in each row (position of the
-    # first other coordinate), ascending cosines, both vertex offsets
+    # first other coordinate), ascending cosines, both vertex offsets, each
+    # valued by the package's eigenvalue arithmetic, as the scan ranks them
     n, d = spec.n, spec.d
     cs = spectrum.axis_cosines(spec)[::-1]
-    s_other, p_other = 0.0, 1.0
-    for o in np.meshgrid(*([cs] * (d - 1)), indexing="ij", sparse=True):
-        s_other = s_other + o
-        p_other = p_other * (2.0 + o)
-    pos = np.searchsorted(cs, (d - s_other - 2.0) / 2.0)
+    others = np.meshgrid(*([cs] * (d - 1)), indexing="ij", sparse=True)
+    pos = np.searchsorted(cs, (d - sum(others, 0.0) - 2.0) / 2.0)
     rows = []
     for off in (0, -1):
         x = cs[np.clip(pos + off, 0, n - 1)]
-        rows.append(((2.0 + x) * p_other * (d - s_other - x)).reshape(n, -1).max(axis=1))
+        lam = spectrum._eigenvalues(OperatorKind.PRECONDITIONED, spec, [x, *others])
+        rows.append(lam.reshape(n, -1).max(axis=1))
     return cs, np.maximum(*rows)
 
 
 @pytest.mark.parametrize("d, n", [(2, 1), (2, 41), (2, 64), (2, 1001), (2, 65536),
                                   (2, 2**20 + 1), (3, 1), (3, 74), (3, 128), (3, 255), (3, 512)])
 def test_am_gm_bound_dominates_every_row(d, n):
-    # the row bound (2+y)((3d-2-y)/d)**d against the row's computed values: in
-    # floating point a value can pass its bound, by a few ulps where the bound
-    # is nearly attained (2D odd n has the exact tie at y = 0), but by far less
-    # than the scan's 1e-12 margin, which therefore never decides a row
+    # the row bound (2/3**d)(2+y)((3d-2-y)/d)**d, as the scan applies it,
+    # against the row's computed eigenvalues: in floating point a value can
+    # pass its bound, by a few ulps where the bound is nearly attained (2D odd
+    # n has the exact tie at y = 0), but by far less than the scan's 1e-12
+    # margin, which therefore never decides a row
     cs, row_max = full_scan_row_maxima(GridSpec(d, n))
-    bound = (2.0 + cs) * ((3 * d - 2 - cs) / d) ** d
+    bound = 2.0 / 3.0**d * (2.0 + cs) * ((3 * d - 2 - cs) / d) ** d
     excess = (row_max - bound) / bound
     assert excess.max() <= 1e-14
 
