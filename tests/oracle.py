@@ -165,11 +165,13 @@ def rayleigh_eigenvalues(kind: OperatorKind, spec: GridSpec) -> list[RayleighEig
     return out
 
 
-def full_scan_argmax(spec: GridSpec) -> tuple[int, ...]:
+def full_scan_argmax(spec: GridSpec, block: int = 1 << 22) -> tuple[int, ...]:
     """Argmax frequency tuple of the preconditioned spectrum by the full scan.
 
     The parabola-vertex reduction over every assignment of the other ``d-1``
-    coordinates at once, offset 0 before -1, the first maximum kept. It ranks
+    coordinates, in blocks of about ``block`` tuples (whole rows of the first
+    other coordinate, at least one), offset 0 before -1, the first maximum
+    kept. It ranks
     with its own arithmetic, ``(2+x) * prod(2+o) * (d - sum(o) - x)``, not the
     package's, so the scan is checked against code it does not share.
     """
@@ -182,18 +184,23 @@ def full_scan_argmax(spec: GridSpec) -> tuple[int, ...]:
     else:
         cs = spectrum.axis_cosines(spec)[::-1]
     # ascending: position i holds k = top - i
-    s_other, p_other = 0.0, 1.0
-    for o in np.meshgrid(*([cs] * (d - 1)), indexing="ij", sparse=True):
-        s_other = s_other + o
-        p_other = p_other * (2.0 + o)
-    pos = np.searchsorted(cs, (d - s_other - 2.0) / 2.0)
+    others = list(np.meshgrid(*([cs] * (d - 1)), indexing="ij", sparse=True))
+    stride = n ** max(d - 2, 0)  # tuples per position of the first other coordinate
+    rows = max(1, block // stride)
     best_val, best = -np.inf, ()
-    for off in (0, -1):
-        j = np.clip(pos + off, 0, len(cs) - 1)
-        x = cs[j]
-        lam = np.ravel((2.0 + x) * p_other * (d - s_other - x))
-        i = int(np.argmax(lam))
-        if lam[i] > best_val:
-            best_val = lam[i]
-            best = (np.ravel(j)[i], *np.unravel_index(i, (n,) * (d - 1)))
+    for start in range(0, n if others else 1, rows):
+        s_other, p_other = 0.0, 1.0
+        # only the first other coordinate is cut into blocks
+        for o in [o[start : start + rows] for o in others[:1]] + others[1:]:
+            s_other = s_other + o
+            p_other = p_other * (2.0 + o)
+        pos = np.searchsorted(cs, (d - s_other - 2.0) / 2.0)
+        for off in (0, -1):
+            j = np.clip(pos + off, 0, len(cs) - 1)
+            x = cs[j]
+            lam = np.ravel((2.0 + x) * p_other * (d - s_other - x))
+            i = int(np.argmax(lam))
+            if lam[i] > best_val:
+                best_val = lam[i]
+                best = (np.ravel(j)[i], *np.unravel_index(start * stride + i, (n,) * (d - 1)))
     return tuple(sorted(top - int(i) for i in best))

@@ -298,17 +298,31 @@ def test_pruned_scan_matches_full_scan(sizes):
 
 
 @pytest.mark.parametrize("n", [5, 17, 64])
-def test_report_argmax_and_kappa_are_the_full_scans(n):
-    # the report's argmax is the oracle's, and its kappa is that tuple's
-    # eigenvalue over lambda_min. At n = 5, (2, 3, 3) and (2, 2, 3) tie in the
-    # oracle's parabola arithmetic, but not in the eigenvalue's
+def test_multi_block_scan_matches_single_block(n):
+    # the full scan in small blocks finds the same maximum as in one block,
+    # and the report's argmax and kappa are that maximum's
+    spec = GridSpec(3, n)
+    whole = full_scan_argmax(spec, 1 << 22)
+    report = spectrum_report(OperatorKind.PRECONDITIONED, spec)
+    lambda_max = eigenvalue(OperatorKind.PRECONDITIONED, spec, whole)
+    assert report.kappa == lambda_max / report.lambda_min
+    for block in (1, 7, 64):
+        assert full_scan_argmax(spec, block) == report.argmax == whole, block
+
+
+@pytest.mark.parametrize("n", [5, 17, 64])
+def test_pruned_scan_keeps_the_block_tie_order(n):
+    # the full scan keeps the first maximum of each block, so with small
+    # blocks its tie order is the block order; the one-pass scan must agree
+    # with it at every block size. This pins the sorted argmax, not the scan
+    # order: at n = 5, (2, 3, 3) ties (2, 2, 3) in the full scan's parabola
+    # arithmetic, where it is both the first and the last maximum in any
+    # order of the axes, but not in the eigenvalue arithmetic the scan ranks by
     kind, spec = OperatorKind.PRECONDITIONED, GridSpec(3, n)
-    report = spectrum_report(kind, spec)
-    argmax = full_scan_argmax(spec)
-    assert report.argmax == argmax
-    assert report.kappa == eigenvalue(kind, spec, argmax) / report.lambda_min
+    for block in (1, 7, 64, 1 << 22):
+        assert spectrum._preconditioned_max(spec) == full_scan_argmax(spec, block), block
     if n == 5:
-        assert argmax == (2, 3, 3)
+        assert spectrum._preconditioned_max(spec) == (2, 3, 3)
         assert eigenvalue(kind, spec, (2, 3, 3)) > eigenvalue(kind, spec, (2, 2, 3))
 
 
