@@ -150,11 +150,12 @@ def iteration_row(
 ) -> IterationRow:
     """Plain and mass-preconditioned CG on the same system, next to the
     limit of the spectral prediction; non-convergence is flagged in the row,
-    not raised."""
+    not raised, and leaves the observed ratio nan."""
     spec = GridSpec(d, n)
     plain = run_solve(spec, tol=tol, precondition="none", rhs=rhs, seed=seed, record_history=False)
     mass = run_solve(spec, tol=tol, precondition="mass", rhs=rhs, seed=seed, record_history=False)
-    observed = plain.iterations / mass.iterations if mass.iterations else math.nan
+    measured = plain.converged and mass.converged and mass.iterations
+    observed = plain.iterations / mass.iterations if measured else math.nan
     return IterationRow(
         d=d,
         n=n,
@@ -240,14 +241,15 @@ def condition_cells(rows: list[RatioReport]) -> list[tuple[str, ...]]:
 
 def iteration_cells(rows: list[IterationRow]) -> list[tuple[str, ...]]:
     # th-itn-ratio is the dimension's limiting ratio, the value the per-size
-    # prediction sqrt(kappa/kappa_p) approaches from below
+    # prediction sqrt(kappa/kappa_p) approaches from below. A solve that did
+    # not converge prints ">N": N iterations ran, and more were needed
     return [
         (
             str(r.d),
             str(r.n),
             str(r.unknowns),
-            str(r.iterations),
-            str(r.iterations_mass),
+            ("" if r.converged else ">") + str(r.iterations),
+            ("" if r.converged_mass else ">") + str(r.iterations_mass),
             _fmt_fixed(r.limit_ratio, 2),
             _fmt_fixed(r.observed_ratio, 2),
         )

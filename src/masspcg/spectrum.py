@@ -16,16 +16,16 @@ the cosine set is symmetric about zero, so for many grids with ``d >= 2``
 the discrete maximum sits at an asymmetric tuple mixing ``k`` and ``n+1-k``.
 
 Per coordinate, each eigenvalue is monotone (Laplacian, mass) or a concave
-parabola (preconditioned) in its cosine, so minima sit on corner tuples and
-maxima next to the vertex, where an AM-GM row bound leaves few rows to scan
-in one pass (:func:`_preconditioned_max`): 1-2 in 3D up to n = 4096 and in 2D
-up to n = 2**20, 6 at 2D n = 2**22 and 24-25 at 2**24 - 1 and 2**24.
+parabola (preconditioned) in its cosine, so minima sit on the corner multisets
+``(1,)*(d-m) + (n,)*m`` and preconditioned maxima next to the vertex, where an
+AM-GM row bound leaves few rows to scan in one pass (:func:`_preconditioned_max`):
+1-2 in 3D up to n = 4096 and in 2D up to n = 2**20, 6 at 2D n = 2**22 and
+24-25 at 2**24 - 1 and 2**24.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from math import acos, pi, sqrt
 
@@ -231,18 +231,19 @@ def closed_form_preconditioned_kappa(spec: GridSpec) -> tuple[int, float]:
     h = spec.h
     raw = (2.0 / (3.0 * h), 1.0 / (2.0 * h), acos(0.25) / (pi * h))[spec.d - 1]
     index = min(spec.n, max(1, int(raw)))
-    num = eigenvalue(OperatorKind.PRECONDITIONED, spec, (index,) * spec.d)
-    den = eigenvalue(OperatorKind.PRECONDITIONED, spec, (1,) * spec.d)
+    k = np.array([[index, 1]] * spec.d)  # axis j: the k_j of (index,)*d and of (1,)*d
+    num, den = _eigenvalues(OperatorKind.PRECONDITIONED, spec, _cosines(spec, k)).tolist()
     return index, num / den
 
 
 def spectrum_report(kind: OperatorKind, spec: GridSpec) -> SpectrumReport:
     """Extreme eigenvalues, their frequency tuples, and the condition number.
 
-    The Laplacian and mass extremes sit at the all-1 / all-n tuples, the
-    preconditioned minimum on a corner tuple and its maximum where
-    :func:`_preconditioned_max` finds it; the preconditioned report also
-    carries the closed-form check (see :class:`ClosedFormCheck`).
+    One evaluation ranks the ``d + 1`` corner multisets ``(1,)*(d-m) + (n,)*m``
+    and, for the preconditioned operator, the tuple :func:`_preconditioned_max`
+    finds. The minimum is the first smallest corner, the maximum the first
+    largest corner or the scan's tuple; the preconditioned report also carries
+    the closed-form check (see :class:`ClosedFormCheck`).
 
     Raises SpectrumCapError, before allocating anything, when
     ``n**max(d-1, 1)`` exceeds ``SCAN_CAP``, a bound on the grid, not the work.
@@ -251,16 +252,13 @@ def spectrum_report(kind: OperatorKind, spec: GridSpec) -> SpectrumReport:
     if n ** max(d - 1, 1) > SCAN_CAP:
         raise SpectrumCapError(n ** max(d - 1, 1), SCAN_CAP,
                                "extreme-eigenvalue scan", "frequency tuples")
-    if kind is OperatorKind.LAPLACIAN:
-        argmin, argmax = (1,) * d, (n,) * d
-    elif kind is OperatorKind.MASS:
-        argmin, argmax = (n,) * d, (1,) * d
-    else:
-        corners = (tuple(sorted(t)) for t in itertools.product((1, n), repeat=d))
-        argmin = min(corners, key=lambda t: eigenvalue(kind, spec, t))
-        argmax = _preconditioned_max(spec)
-    lambda_min = eigenvalue(kind, spec, argmin)
-    lambda_max = eigenvalue(kind, spec, argmax)
+    corners = [(1,) * (d - m) + (n,) * m for m in range(d + 1)]
+    scan = [_preconditioned_max(spec)] if kind is OperatorKind.PRECONDITIONED else []
+    tuples = corners + scan
+    values = _eigenvalues(kind, spec, _cosines(spec, np.array(tuples).T)).tolist()
+    lo = np.argmin(values[: d + 1])
+    hi = d + 1 if scan else np.argmax(values)
+    argmin, argmax, lambda_min, lambda_max = tuples[lo], tuples[hi], values[lo], values[hi]
     kappa = lambda_max / lambda_min
     closed_form = None
     if kind is OperatorKind.PRECONDITIONED:

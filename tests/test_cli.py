@@ -229,10 +229,11 @@ def test_table2_n_requires_dim(capsys):
 
 
 def test_table2_non_convergence_exit_code(capsys):
-    # an unreachable tolerance: both solves stop at the 10*N iteration cap
+    # an unreachable tolerance: both solves stop at the 10*N iteration cap,
+    # and the table marks both counts as capped, not measured
     code, out, err = run_cli(capsys, "table2", "--dim", "2", "--n", "4", "--tol", "1e-17")
     assert code == EXIT_NO_CONVERGENCE
-    assert out.splitlines()[1] == "2,4,16,160,160,2.12,1.00"
+    assert out.splitlines()[1] == "2,4,16,>160,>160,2.12,nan"
     assert "d=2 n=4 precond=none: no convergence within 160 iterations" in err
     assert "d=2 n=4 precond=mass: no convergence within 160 iterations" in err
 

@@ -48,6 +48,11 @@ GOLDEN = [
     (("table2", "--dim", "2", "--n", "16", "--n", "32"), 0,
      "03c286fcb837d305209e3aae1fc81d1bc51bb2995b513e084ba6c427fafd3d10",
      "solving d=2 n=16 (256 unknowns)\nsolving d=2 n=32 (1024 unknowns)\n"),
+    # a cap stop and an <z, r> underflow stop: counts marked ">N", ratio nan
+    (("table2", "--dim", "2", "--n", "8", "--tol", "1e-300"), 2,
+     "db5f14c81f87e0481dddb2a8e9a0159b8134bf747920c2c76b1d3af92f45fe4e",
+     "solving d=2 n=8 (64 unknowns)\nd=2 n=8 precond=none: no convergence within 640 iterations\n"
+     "d=2 n=8 precond=mass: no convergence within 144 iterations\n"),
     (("spectrum", "--help"), 0,
      "60489aa28e5a020690608fb2861422fa7f44d3e6154a395f3d0ef71a4c2aa70a", ""),
     (("condition", "--help"), 0,

@@ -149,8 +149,27 @@ def test_report_matches_enumeration(kind, spec):
     assert report.lambda_min == values[0]
     assert report.lambda_max == values[-1]
     assert report.kappa == values[-1] / values[0]
-    assert eigenvalue(kind, spec, report.argmin) == pytest.approx(report.lambda_min, rel=1e-14)
-    assert eigenvalue(kind, spec, report.argmax) == pytest.approx(report.lambda_max, rel=1e-14)
+    assert eigenvalue(kind, spec, report.argmin) == report.lambda_min
+    assert eigenvalue(kind, spec, report.argmax) == report.lambda_max
+
+
+def test_report_extremes_match_brute_force():
+    # on tiny grids, argmin is the sorted first minimum, in C order, over the
+    # whole unsorted tuple grid, and so is the Laplacian and mass argmax. 3D
+    # n = 2..5 has its preconditioned minimum at (n, n, n), not at (1, 1, 1)
+    for d in (1, 2, 3):
+        for n in range(1, 13):
+            spec = GridSpec(d, n)
+            c = spectrum.axis_cosines(spec)
+            for kind in ALL_KINDS:
+                values = spectrum._eigenvalues(kind, spec, np.meshgrid(*[c] * d, indexing="ij", sparse=True))
+                report = spectrum_report(kind, spec)
+                ends = [("argmin", np.argmin(values))]
+                if kind is not OperatorKind.PRECONDITIONED:
+                    ends.append(("argmax", np.argmax(values)))
+                for name, flat in ends:
+                    expected = tuple(sorted(int(i) + 1 for i in np.unravel_index(flat, values.shape)))
+                    assert getattr(report, name) == expected, (spec, kind, name)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -130,6 +130,17 @@ def test_solver_allocates_through_operators():
     assert not called & allocators
 
 
+def test_package_evaluates_eigenvalues_in_one_path():
+    # the package evaluates through spectrum._eigenvalues on arrays; the
+    # scalar eigenvalue() is for callers outside it, so no module calls it
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "masspcg").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and "eigenvalue" in (getattr(node.func, "id", None),
+                                                                 getattr(node.func, "attr", None))]
+    assert not calls
+
+
 def test_stencil_source_ships_with_the_package():
     # the kernel is compiled from this file on first use, so an installed
     # package must carry it (pyproject.toml lists it as package data)
