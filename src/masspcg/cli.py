@@ -31,13 +31,12 @@ from .experiments import (
     check_solve_memory,
     condition_cells,
     iteration_cells,
-    render_table,
     residual_cells,
     run_solve,
     spectrum_cells,
     table1_rows,
     table2_rows,
-    write_text,
+    write_table,
 )
 from .grid import GridSpec
 from .solver import PRECONDITION_KINDS, NumericalBreakdownError
@@ -172,8 +171,7 @@ def _unconverged(label: str, converged: bool, iterations: int) -> int:
 
 def _cmd_spectrum(args) -> int:
     spec = GridSpec(args.dim, _single_n(args.n))
-    cells = spectrum_cells(OperatorKind(args.kind), spec)
-    write_text(render_table(SPECTRUM_HEADERS, cells, args.format), args.out)
+    write_table(SPECTRUM_HEADERS, spectrum_cells(OperatorKind(args.kind), spec), args.out, args.format)
     return EXIT_OK
 
 
@@ -181,7 +179,7 @@ def _cmd_condition(args) -> int:
     # `condition` names one dimension; `table1` covers d = 1, 2, 3
     dims = (1, 2, 3) if args.dim is None else (args.dim,)
     rows = table1_rows(args.n or TABLE1_SIZES, dims)
-    write_text(render_table(CONDITION_HEADERS, condition_cells(rows), args.format), args.out)
+    write_table(CONDITION_HEADERS, condition_cells(rows), args.out, args.format)
     return EXIT_OK
 
 
@@ -189,7 +187,7 @@ def _cmd_solve(args) -> int:
     spec = GridSpec(args.dim, _single_n(args.n))
     report = run_solve(spec, tol=args.tol, precondition=args.precond,
                        rhs=args.rhs, seed=args.seed)
-    write_text(render_table(RESIDUAL_HEADERS, residual_cells(report), args.format), args.out)
+    write_table(RESIDUAL_HEADERS, residual_cells(report), args.out, args.format)
     if report.converged:
         _note(f"converged in {report.iterations} iterations")
     return _unconverged("", report.converged, report.iterations)
@@ -211,7 +209,7 @@ def _cmd_table2(args) -> int:
     for d, n in cases:
         check_solve_memory(GridSpec(d, n))
     rows = table2_rows(cases, tol=args.tol, rhs=args.rhs, seed=args.seed, progress=_note)
-    write_text(render_table(ITERATION_HEADERS, iteration_cells(rows), args.format), args.out)
+    write_table(ITERATION_HEADERS, iteration_cells(rows), args.out, args.format)
     codes = [_unconverged(f"d={r.d} n={r.n} precond={precond}", converged, iterations)
              for r in rows
              for precond, iterations, converged in (("none", r.iterations, r.converged),
@@ -228,7 +226,7 @@ def _cmd_figures(args) -> int:
 
     def write(name, headers, cells):
         path = os.path.join(args.out, f"{name}.{extension}")
-        write_text(render_table(headers, cells, args.format), path)
+        write_table(headers, cells, path, args.format)
         _note(f"wrote {path}")
 
     for d, n in experiments.FIGURE_SPECTRUM_CASES:

@@ -1,8 +1,9 @@
 """Reproduction experiments and deterministic table rendering.
 
 Builds the condition-number table, the iteration-count table, and the figure
-datasets (sorted spectra, residual histories) as rows of pre-formatted
-strings, so CSV and markdown output is byte-identical across runs.
+datasets (sorted spectra, residual histories) as lazy rows of pre-formatted
+strings, written WRITE_ROWS lines at a time: CSV and markdown output is
+byte-identical across runs, and its text is never whole in memory.
 
 Iteration counts use the relative stopping rule ||r_i|| < tol * ||b||, the
 convention the reference iteration counts were produced with. The solver
@@ -15,7 +16,9 @@ seed yields the same vector on any platform; the recipe is documented at
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import itertools
 import math
 import os
 import sys
@@ -37,6 +40,7 @@ DEFAULT_TOL = 1e-8
 DEFAULT_SEED = 42
 RHS_KINDS = ("ones", "random")
 FORMATS = ("csv", "markdown")
+WRITE_ROWS = 4096
 
 #: Grid sizes of the condition-number table, crossed with d in {1, 2, 3}.
 TABLE1_SIZES = (8, 16, 32)
@@ -152,21 +156,16 @@ def iteration_row(
     limit of the spectral prediction; non-convergence is flagged in the row,
     not raised, and leaves the observed ratio nan."""
     spec = GridSpec(d, n)
+    # only the counts outlive the plain solve: its solution would be a sixth vector
     plain = run_solve(spec, tol=tol, precondition="none", rhs=rhs, seed=seed, record_history=False)
+    iterations, converged = plain.iterations, plain.converged
+    del plain
     mass = run_solve(spec, tol=tol, precondition="mass", rhs=rhs, seed=seed, record_history=False)
-    measured = plain.converged and mass.converged and mass.iterations
-    observed = plain.iterations / mass.iterations if measured else math.nan
-    return IterationRow(
-        d=d,
-        n=n,
-        unknowns=spec.size,
-        iterations=plain.iterations,
-        iterations_mass=mass.iterations,
-        observed_ratio=observed,
-        limit_ratio=math.sqrt(ASYMPTOTIC_RATIO_LIMIT[d]),
-        converged=plain.converged,
-        converged_mass=mass.converged,
-    )
+    measured = converged and mass.converged and mass.iterations
+    observed = iterations / mass.iterations if measured else math.nan
+    return IterationRow(d=d, n=n, unknowns=spec.size, iterations=iterations, iterations_mass=mass.iterations,
+                        observed_ratio=observed, limit_ratio=math.sqrt(ASYMPTOTIC_RATIO_LIMIT[d]),
+                        converged=converged, converged_mass=mass.converged)
 
 
 def table2_rows(
@@ -202,19 +201,24 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
 
 
+def _value_text(values: np.ndarray) -> list[str]:
+    """repr of each value, formatted once per run of equal bits."""
+    starts = _run_starts(values)
+    text = np.array(list(map(repr, values[starts].tolist())), dtype=object)
+    return np.repeat(text, np.diff(starts, append=values.size)).tolist()
+
+
 def spectrum_cells(kind: OperatorKind, spec: GridSpec) -> Iterator[tuple[str, str]]:
     """(index, eigenvalue) string rows of the sorted spectrum, 1-based rank, made as read."""
     # repr of a float round-trips exactly, so data files are bit-faithful. It
     # is the costly step, and the sort puts equal values side by side (permuted
     # frequency indices give equal bits), so each run's value is formatted once
+    # per block of WRITE_ROWS rows, and one block's text is held at a time
     values = full_spectrum(kind, spec)
-    starts = _run_starts(values)
-    text = map(repr, values[starts].tolist())
-    if starts.size < values.size:
-        runs = np.diff(starts, append=values.size)
-        text = np.repeat(np.array(list(text), dtype=object), runs).tolist()
     # an int's repr is its str, and a cheaper call than the str constructor
-    return zip(map(repr, range(1, values.size + 1)), text)
+    blocks = (zip(map(repr, range(i + 1, i + WRITE_ROWS + 1)), _value_text(values[i:i + WRITE_ROWS]))
+              for i in range(0, values.size, WRITE_ROWS))
+    return itertools.chain.from_iterable(blocks)
 
 
 def residual_cells(report: SolveReport) -> Iterator[tuple[str, str]]:
@@ -257,25 +261,40 @@ def iteration_cells(rows: list[IterationRow]) -> list[tuple[str, ...]]:
     ]
 
 
-def render_table(headers, cells, fmt: str = "csv") -> str:
-    """Render string rows, any iterable read once, as CSV (UTF-8, LF) or a markdown table."""
+def _table_lines(headers, cells, fmt: str) -> Iterator[str]:
+    """The lines, without newlines, of a CSV or markdown table, made as read."""
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
     if fmt == "csv":
-        lines = [",".join(headers)]
-        lines += map(",".join, cells)
-    else:
-        lines = ["| " + " | ".join(headers) + " |"]
-        lines.append("| " + " | ".join("---" for _ in headers) + " |")
-        lines += map("| {} |".format, map(" | ".join, cells))
+        return itertools.chain([",".join(headers)], map(",".join, cells))
+    head = ("| " + " | ".join(headers) + " |", "| " + " | ".join("---" for _ in headers) + " |")
+    return itertools.chain(head, map("| {} |".format, map(" | ".join, cells)))
+
+
+def render_table(headers, cells, fmt: str = "csv") -> str:
+    """Render string rows, any iterable read once, as CSV (UTF-8, LF) or a markdown table."""
+    lines = list(_table_lines(headers, cells, fmt))
     lines.append("")  # the final newline, without copying the joined text
     return "\n".join(lines)
 
 
+def _output(path: str | None):
+    """path opened for writing (UTF-8, LF), or stdout, left open, when path is None."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def write_text(text: str, path: str | None):
     """Write to path (UTF-8, LF) or stdout when path is None."""
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+    with _output(path) as f:
+        f.write(text)
+
+
+def write_table(headers, cells, path: str | None, fmt: str = "csv"):
+    """Write render_table's text to path or stdout, WRITE_ROWS lines per write."""
+    lines = _table_lines(headers, cells, fmt)
+    with _output(path) as f:
+        while batch := list(itertools.islice(lines, WRITE_ROWS)):
+            batch.append("")  # each line's newline, without copying the joined batch
+            f.write("\n".join(batch))

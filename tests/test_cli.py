@@ -1,11 +1,14 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import masspcg.cli as cli
 import masspcg.experiments as experiments
+from masspcg import GridSpec
 from masspcg.cli import EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+from masspcg.spectrum import OperatorKind
 from test_solver import counted_kernels, negating
 
 
@@ -39,10 +42,33 @@ def test_spectrum_is_deterministic(capsys):
     assert first == second
 
 
-def test_spectrum_cap_exit_code(capsys):
+def test_spectrum_cap_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "spectrum", "--dim", "3", "--n", "512", "--kind", "laplacian")
     assert code == EXIT_RESOURCE
     assert "cap" in err
+    # the cap is raised before the first row, so no file is made
+    target = tmp_path / "spectrum.csv"
+    code, _, _ = run_cli(capsys, "spectrum", "--dim", "3", "--n", "512", "--kind", "laplacian",
+                         "--out", str(target))
+    assert code == EXIT_RESOURCE
+    assert not target.exists()
+
+
+def test_spectrum_output_memory_is_bounded_by_a_batch(tmp_path):
+    # the rows are formatted and written WRITE_ROWS at a time, so the traced
+    # peak is a few copies of the spectrum values (2 MiB here, the bound is
+    # 4 of them), not the text: 37.3 MiB when the text was whole in memory
+    target = tmp_path / "spectrum.csv"
+    argv = ["spectrum", "--dim", "2", "--n", "512", "--kind", "preconditioned", "--out", str(target)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * 512 * 512
+    cells = experiments.spectrum_cells(OperatorKind.PRECONDITIONED, GridSpec(2, 512))
+    assert target.read_bytes() == experiments.render_table(experiments.SPECTRUM_HEADERS, cells).encode()
 
 
 def test_condition_trivial_kappa(capsys):
@@ -87,10 +113,18 @@ def test_solve_writes_history_file(tmp_path, capsys):
     assert float(lines[-1].split(",")[1]) < 1e-8 * np.sqrt(64.0)
 
 
-def test_solve_non_convergence_exit_code(capsys):
+def test_solve_non_convergence_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "solve", "--dim", "1", "--n", "16", "--tol", "1e-300")
     assert code == EXIT_NO_CONVERGENCE
     assert "no convergence" in err
+    # the history of all 5120 iterations is written, over more than one batch
+    target = tmp_path / "history.csv"
+    code, _, err = run_cli(capsys, "solve", "--dim", "1", "--n", "512", "--tol", "1e-300", "--out", str(target))
+    assert (code, err) == (EXIT_NO_CONVERGENCE, "no convergence within 5120 iterations\n")
+    report = experiments.run_solve(GridSpec(1, 512), tol=1e-300)
+    expected = experiments.render_table(experiments.RESIDUAL_HEADERS, experiments.residual_cells(report))
+    assert expected.count("\n") == 5122 > experiments.WRITE_ROWS
+    assert target.read_bytes() == expected.encode()
 
 
 def test_solve_zr_underflow_is_non_convergence(tmp_path, capsys):

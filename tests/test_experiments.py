@@ -1,8 +1,12 @@
+import io
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import masspcg._sweeps as sweeps
+import masspcg.operators as operators
 from masspcg import GridSpec, apply_laplacian, norm2, ratio_report
 from masspcg.experiments import (
     CONDITION_HEADERS,
@@ -11,6 +15,7 @@ from masspcg.experiments import (
     SPECTRUM_HEADERS,
     TABLE1_SIZES,
     TABLE2_CASES,
+    WRITE_ROWS,
     _run_starts,
     condition_cells,
     iteration_cells,
@@ -23,8 +28,10 @@ from masspcg.experiments import (
     run_solve,
     spectrum_cells,
     table1_rows,
+    write_table,
     write_text,
 )
+from masspcg.solver import WORK_VECTORS
 from masspcg.spectrum import OperatorKind, SpectrumCapError, full_spectrum
 
 
@@ -141,6 +148,18 @@ def test_spectrum_cells_format_every_row(kind, d, n):
     assert list(spectrum_cells(kind, spec)) == naive
 
 
+def test_spectrum_cells_format_a_run_across_a_block_edge():
+    # the values are formatted one block of WRITE_ROWS at a time; at 2D n=91
+    # a run of equal Laplacian eigenvalues straddles a block edge, and is
+    # formatted once in each block, to the same text
+    spec = GridSpec(2, 91)
+    values = full_spectrum(OperatorKind.LAPLACIAN, spec)
+    bits = values.view(np.int64)
+    assert any(bits[k - 1] == bits[k] for k in range(WRITE_ROWS, bits.size, WRITE_ROWS))
+    naive = [(str(k), repr(v)) for k, v in enumerate(values.tolist(), 1)]
+    assert list(spectrum_cells(OperatorKind.LAPLACIAN, spec)) == naive
+
+
 def test_run_starts_compares_bits():
     # +0.0 == -0.0, but they print differently, so each starts its own run;
     # two NaNs of one bit pattern print alike and share one, though nan != nan
@@ -173,18 +192,35 @@ def test_render_markdown():
     assert text == "| a | b |\n| --- | --- |\n| 1 | 2.0 |\n"
 
 
-def test_render_rejects_unknown_format():
-    # before it reads a row
+def test_render_rejects_unknown_format(tmp_path):
+    # before it reads a row, and write_table before it opens the file
     cells = (row for row in [("1", "2.0")])
     with pytest.raises(ValueError):
         render_table(("a", "b"), cells, "tsv")
+    with pytest.raises(ValueError):
+        write_table(("a", "b"), cells, str(tmp_path / "t.tsv"), "tsv")
     assert next(cells) == ("1", "2.0")
+    assert not (tmp_path / "t.tsv").exists()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "markdown"])
-@pytest.mark.parametrize("rows", [[], [("1", "2.0")], [("1", "2.0"), ("3", "4.5"), ("5", "-0.0")]])
-def test_render_reads_a_one_shot_iterator_like_a_list(rows, fmt):
-    assert render_table(("a", "b"), (row for row in rows), fmt) == render_table(("a", "b"), rows, fmt)
+@pytest.mark.parametrize("rows", [[], [("1", "2.0")], [("1", "2.0"), ("3", "4.5"), ("5", "-0.0")]] + [
+    [(str(k), repr(k / 7)) for k in range(count)]
+    for count in (WRITE_ROWS - 2, WRITE_ROWS - 1, WRITE_ROWS, WRITE_ROWS + 1, 2 * WRITE_ROWS + 1)
+])
+def test_render_reads_a_one_shot_iterator_like_a_list(rows, fmt, tmp_path, monkeypatch):
+    # write_table writes WRITE_ROWS lines per write (a csv header takes one
+    # line, a markdown one two); on each side of a batch edge, from a list or
+    # a one-shot iterator, to a file or stdout, it writes render_table's text
+    text = render_table(("a", "b"), rows, fmt)
+    assert render_table(("a", "b"), (row for row in rows), fmt) == text
+    target = tmp_path / "t"
+    for cells in (lambda: rows, lambda: (row for row in rows)):
+        write_table(("a", "b"), cells(), str(target), fmt)
+        assert target.read_bytes() == text.encode()
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        write_table(("a", "b"), cells(), None, fmt)
+        assert sys.stdout.getvalue() == text
 
 
 @pytest.mark.parametrize("kind", list(OperatorKind))
@@ -202,6 +238,19 @@ def traced_peak(make):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("backend", ["default", "numpy"])
+def test_iteration_row_holds_one_solve_of_work_vectors(backend, monkeypatch):
+    # only the plain solve's counts outlive it: its report, solution vector
+    # and all, kept through the mass solve made the peak 6.01 vectors (6.14
+    # with the numpy sweeps). In 3D the sweeps' own temporaries, a plane and
+    # a chunk, fit in the quarter vector of margin
+    if backend == "numpy":
+        monkeypatch.setattr(operators, "_kernels", sweeps)
+    iteration_row(2, 8)  # first-use allocations stay out of the trace
+    _, peak = traced_peak(lambda: iteration_row(3, 80))
+    assert peak <= (WORK_VECTORS + 0.25) * 8 * 80**3
 
 
 def test_spectrum_render_holds_no_row_list():

@@ -130,6 +130,16 @@ def test_solver_allocates_through_operators():
     assert not called & allocators
 
 
+def test_cli_writes_through_one_table_writer():
+    # every command streams its table through experiments.write_table, so
+    # the CLI neither renders a whole text nor writes one
+    calls = [(node.lineno, getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+             for node in ast.walk(ast.parse((ROOT / "src" / "masspcg" / "cli.py").read_text()))
+             if isinstance(node, ast.Call)]
+    assert not [call for call in calls if call[1] in ("render_table", "write_text")]
+    assert "write_table" in {name for _, name in calls}
+
+
 def test_package_evaluates_eigenvalues_in_one_path():
     # the package evaluates through spectrum._eigenvalues on arrays; the
     # scalar eigenvalue() is for callers outside it, so no module calls it
