@@ -16,7 +16,6 @@ from .spectrum import (
     RatioReport,
     SpectrumCapError,
     SpectrumReport,
-    closed_form_preconditioned_kappa,
     eigenvalue,
     full_spectrum,
     ratio_report,
@@ -40,7 +39,6 @@ __all__ = [
     "apply_laplacian",
     "apply_mass",
     "cg_solve",
-    "closed_form_preconditioned_kappa",
     "dot",
     "eigenvalue",
     "full_spectrum",

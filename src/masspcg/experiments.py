@@ -52,10 +52,6 @@ FIGURE_SPECTRUM_CASES = ((2, 32),)
 FIGURE_RESIDUAL_CASES = ((2, 128), (2, 256), (3, 64), (3, 128))
 
 
-def rhs_ones(spec: GridSpec) -> np.ndarray:
-    return np.ones(spec.size)
-
-
 def rhs_random(spec: GridSpec, seed: int = DEFAULT_SEED) -> np.ndarray:
     """Seeded uniform [0, 1) right-hand side, reproducible across platforms.
 
@@ -80,7 +76,7 @@ def make_rhs(spec: GridSpec, kind: str = "ones", seed: int = DEFAULT_SEED) -> np
     if kind not in RHS_KINDS:
         raise ValueError(f"rhs kind must be one of {RHS_KINDS}, got {kind!r}")
     if kind == "ones":
-        return rhs_ones(spec)
+        return np.ones(spec.size)
     return rhs_random(spec, seed)
 
 

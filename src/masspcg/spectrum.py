@@ -68,13 +68,11 @@ class SpectrumCapError(RuntimeError):
 class ClosedFormCheck:
     """Closed-form preconditioned condition number versus the exact scan.
 
-    ``index`` is the integer part of the continuous maximizer position
-    (2/(3h), 1/(2h), arccos(1/4)/(pi*h) for d = 1, 2, 3), clamped into
-    ``{1..n}``; the closed form evaluates the symmetric tuple
-    ``(index,)*d``. ``agrees`` is True when ``kappa`` matches ``scan_kappa``
-    to ``CLOSED_FORM_RTOL`` relative; ``rel_gap`` is
-    ``(scan_kappa - kappa)/scan_kappa`` (nonnegative, since the symmetric
-    tuple can never exceed the true discrete maximum).
+    ``index`` is :func:`_closed_form_index`; the closed form evaluates the
+    symmetric tuple ``(index,)*d`` against ``(1,)*d``. ``agrees`` is True when
+    ``kappa`` matches ``scan_kappa`` to ``CLOSED_FORM_RTOL`` relative;
+    ``rel_gap`` is ``(scan_kappa - kappa)/scan_kappa`` (nonnegative, since the
+    symmetric tuple can never exceed the true discrete maximum).
     """
 
     index: int
@@ -195,8 +193,8 @@ def _preconditioned_max(spec: GridSpec) -> tuple[int, ...]:
     """
     n, d, top, kind = spec.n, spec.d, spec.n, OperatorKind.PRECONDITIONED
     if d == 1:
-        # 1D needs only the cosines around the vertex -1/2, at k = 2/(3h)
-        top = min(n, int(2.0 / (3.0 * spec.h)) + 4)
+        # 1D needs only the cosines around the vertex -1/2
+        top = min(n, _closed_form_index(spec) + 4)
         cs = _cosines(spec, np.arange(top, max(top - 8, 0), -1))
     else:
         cs = axis_cosines(spec)[::-1]
@@ -219,21 +217,14 @@ def _preconditioned_max(spec: GridSpec) -> tuple[int, ...]:
     return tuple(sorted(top - int(i) for i in scan(rows)[1]))
 
 
-def closed_form_preconditioned_kappa(spec: GridSpec) -> tuple[int, float]:
-    """Closed-form preconditioned condition number and its integer-part index.
-
-    Evaluates the symmetric frequency tuple ``(index,)*d`` against the
-    smallest frequency tuple ``(1,)*d``, with ``index = floor(x*)`` for the
-    continuous maximizer position ``x* = 2/(3h)``, ``1/(2h)``,
-    ``arccos(1/4)/(pi*h)`` in 1, 2, 3 dimensions, clamped into ``{1..n}``
-    (relevant only for d=3, n=1 where the floor is 0).
+def _closed_form_index(spec: GridSpec) -> int:
+    """Integer part of the continuous preconditioned maximizer position
+    ``x* = 2/(3h)``, ``1/(2h)``, ``arccos(1/4)/(pi*h)`` in 1, 2, 3 dimensions,
+    clamped into ``{1..n}`` (relevant only for d=3, n=1 where the floor is 0).
     """
     h = spec.h
     raw = (2.0 / (3.0 * h), 1.0 / (2.0 * h), acos(0.25) / (pi * h))[spec.d - 1]
-    index = min(spec.n, max(1, int(raw)))
-    k = np.array([[index, 1]] * spec.d)  # axis j: the k_j of (index,)*d and of (1,)*d
-    num, den = _eigenvalues(OperatorKind.PRECONDITIONED, spec, _cosines(spec, k)).tolist()
-    return index, num / den
+    return min(spec.n, max(1, int(raw)))
 
 
 def spectrum_report(kind: OperatorKind, spec: GridSpec) -> SpectrumReport:
@@ -241,9 +232,10 @@ def spectrum_report(kind: OperatorKind, spec: GridSpec) -> SpectrumReport:
 
     One evaluation ranks the ``d + 1`` corner multisets ``(1,)*(d-m) + (n,)*m``
     and, for the preconditioned operator, the tuple :func:`_preconditioned_max`
-    finds. The minimum is the first smallest corner, the maximum the first
-    largest corner or the scan's tuple; the preconditioned report also carries
-    the closed-form check (see :class:`ClosedFormCheck`).
+    finds and the closed form's ``(index,)*d``. The minimum is the first
+    smallest corner, the maximum the first largest corner or the scan's tuple;
+    the preconditioned report also carries the closed-form check (see
+    :class:`ClosedFormCheck`).
 
     Raises SpectrumCapError, before allocating anything, when
     ``n**max(d-1, 1)`` exceeds ``SCAN_CAP``, a bound on the grid, not the work.
@@ -253,16 +245,17 @@ def spectrum_report(kind: OperatorKind, spec: GridSpec) -> SpectrumReport:
         raise SpectrumCapError(n ** max(d - 1, 1), SCAN_CAP,
                                "extreme-eigenvalue scan", "frequency tuples")
     corners = [(1,) * (d - m) + (n,) * m for m in range(d + 1)]
-    scan = [_preconditioned_max(spec)] if kind is OperatorKind.PRECONDITIONED else []
-    tuples = corners + scan
+    index = _closed_form_index(spec)
+    extra = [_preconditioned_max(spec), (index,) * d] if kind is OperatorKind.PRECONDITIONED else []
+    tuples = corners + extra
     values = _eigenvalues(kind, spec, _cosines(spec, np.array(tuples).T)).tolist()
     lo = np.argmin(values[: d + 1])
-    hi = d + 1 if scan else np.argmax(values)
+    hi = d + 1 if extra else np.argmax(values)
     argmin, argmax, lambda_min, lambda_max = tuples[lo], tuples[hi], values[lo], values[hi]
     kappa = lambda_max / lambda_min
     closed_form = None
-    if kind is OperatorKind.PRECONDITIONED:
-        index, cf_kappa = closed_form_preconditioned_kappa(spec)
+    if extra:
+        cf_kappa = values[-1] / values[0]  # (index,)*d over the (1,)*d corner
         rel_gap = (kappa - cf_kappa) / kappa
         closed_form = ClosedFormCheck(
             index=index,

@@ -175,15 +175,8 @@ def full_scan_argmax(spec: GridSpec, block: int = 1 << 22) -> tuple[int, ...]:
     with its own arithmetic, ``(2+x) * prod(2+o) * (d - sum(o) - x)``, not the
     package's, so the scan is checked against code it does not share.
     """
-    n, d, top = spec.n, spec.d, spec.n
-    if d == 1:
-        # the one scan needs only the cosines around the vertex -1/2, at
-        # k = 2/(3h)
-        top = min(n, int(2.0 / (3.0 * spec.h)) + 4)
-        cs = spectrum._cosines(spec, np.arange(top, max(top - 8, 0), -1))
-    else:
-        cs = spectrum.axis_cosines(spec)[::-1]
-    # ascending: position i holds k = top - i
+    n, d = spec.n, spec.d
+    cs = spectrum.axis_cosines(spec)[::-1]  # ascending: position i holds k = n - i
     others = list(np.meshgrid(*([cs] * (d - 1)), indexing="ij", sparse=True))
     stride = n ** max(d - 2, 0)  # tuples per position of the first other coordinate
     rows = max(1, block // stride)
@@ -203,4 +196,4 @@ def full_scan_argmax(spec: GridSpec, block: int = 1 << 22) -> tuple[int, ...]:
             if lam[i] > best_val:
                 best_val = lam[i]
                 best = (np.ravel(j)[i], *np.unravel_index(start * stride + i, (n,) * (d - 1)))
-    return tuple(sorted(top - int(i) for i in best))
+    return tuple(sorted(n - int(i) for i in best))

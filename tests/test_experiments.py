@@ -23,7 +23,6 @@ from masspcg.experiments import (
     make_rhs,
     render_table,
     residual_cells,
-    rhs_ones,
     rhs_random,
     run_solve,
     spectrum_cells,
@@ -33,10 +32,6 @@ from masspcg.experiments import (
 )
 from masspcg.solver import WORK_VECTORS
 from masspcg.spectrum import OperatorKind, SpectrumCapError, full_spectrum
-
-
-def test_rhs_ones():
-    np.testing.assert_array_equal(rhs_ones(GridSpec(2, 3)), np.ones(9))
 
 
 def test_rhs_random_matches_reference_stream():

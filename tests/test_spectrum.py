@@ -12,7 +12,6 @@ from masspcg import (
     GridSpec,
     OperatorKind,
     SpectrumCapError,
-    closed_form_preconditioned_kappa,
     eigenvalue,
     full_spectrum,
     ratio_report,
@@ -211,9 +210,8 @@ def test_closed_form_agreement_cases():
     # where the integer-part symmetric index does attain the discrete max the
     # two values coincide
     for d, n in [(1, 8), (1, 16), (2, 15), (3, 16)]:
-        _, cf_kappa = closed_form_preconditioned_kappa(GridSpec(d, n))
         report = spectrum_report(OperatorKind.PRECONDITIONED, GridSpec(d, n))
-        assert cf_kappa == pytest.approx(report.kappa, rel=1e-12)
+        assert report.closed_form.kappa == pytest.approx(report.kappa, rel=1e-12)
 
 
 def test_closed_form_discrepancy_is_surfaced_not_absorbed():
@@ -229,9 +227,24 @@ def test_closed_form_discrepancy_is_surfaced_not_absorbed():
 
 
 def test_closed_form_index_clamped_for_tiny_grid():
-    index, kappa = closed_form_preconditioned_kappa(GridSpec(3, 1))
-    assert index == 1
-    assert kappa == pytest.approx(1.0, rel=1e-14)
+    check = spectrum_report(OperatorKind.PRECONDITIONED, GridSpec(3, 1)).closed_form
+    assert check.index == 1
+    assert check.kappa == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_preconditioned_report_evaluates_once_beyond_the_scan(d, monkeypatch):
+    # the corners, the scan's tuple and the closed form's symmetric tuple are
+    # ranked in one evaluation, beyond those the scan makes
+    calls = []
+    evaluate = spectrum._eigenvalues
+    monkeypatch.setattr(spectrum, "_eigenvalues", lambda *args: calls.append(args) or evaluate(*args))
+    spec = GridSpec(d, 9)
+    spectrum._preconditioned_max(spec)
+    scan = len(calls)
+    report = spectrum_report(OperatorKind.PRECONDITIONED, spec)
+    assert len(calls) == 2 * scan + 1
+    assert report.closed_form.index == spectrum._closed_form_index(spec)
 
 
 def test_ratio_report_fields():
@@ -268,25 +281,13 @@ PINNED_ARGMAX = {
 }
 
 
-def full_scan_argmax_1d(n):
-    # the 1D scan over every axis cosine: the two around the vertex -1/2 of
-    # (2+x)(1-x), first maximum kept
-    cs = spectrum.axis_cosines(GridSpec(1, n))[::-1]  # position i holds k = n - i
-    pos = int(np.searchsorted(cs, -0.5))
-    best_val, best = -np.inf, None
-    for j in (min(pos, n - 1), max(pos - 1, 0)):
-        lam = (2.0 + cs[j]) * 1.0 * (1.0 - 0.0 - cs[j])
-        if lam > best_val:
-            best_val, best = lam, (n - j,)
-    return best
-
-
 def test_1d_argmax_scans_only_cosines_around_the_vertex():
     # the 1D scan evaluates eight cosines around k = 2/(3h), not all n; its
     # argmax must be the full scan's, up to the scan cap
     sizes = list(range(1, 3001)) + [65536, 10**6 + 1, 2**24]
     for n in sizes:
-        assert spectrum._preconditioned_max(GridSpec(1, n)) == full_scan_argmax_1d(n), n
+        spec = GridSpec(1, n)
+        assert spectrum._preconditioned_max(spec) == full_scan_argmax(spec), n
 
 
 @pytest.mark.parametrize("d", sorted(PINNED_ARGMAX))

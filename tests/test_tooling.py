@@ -119,6 +119,29 @@ def test_package_reads_every_private_name():
     assert not [name for name, site in defined.items() if not reads[name] - {site}]
 
 
+def test_oracle_reads_no_private_name_of_the_package():
+    # the oracle is the reference the package's scans and stencils are
+    # checked against: sharing a private helper with them would make it
+    # compare the package with itself
+    layers = {f"masspcg.{name}" for name in ("spectrum", "operators", "grid", "solver", "experiments")}
+    tree = ast.parse((ROOT / "tests" / "oracle.py").read_text())
+    modules, private = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update({alias.asname or alias.name: alias.name for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module == "masspcg":
+            modules.update({alias.asname or alias.name: f"masspcg.{alias.name}" for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module in layers:
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.startswith("__"):
+            value = ast.unparse(node.value)
+            if modules.get(value, value) in layers:
+                private.append(f"{value}.{node.attr}:{node.lineno}")
+    assert set(modules.values()) & layers
+    assert not private
+
+
 def test_solver_allocates_through_operators():
     # operators owns where a vector the kernels write starts (on a page), so
     # the solver allocates none itself
