@@ -207,7 +207,7 @@ def _cmd_table2(args) -> int:
     cases = _table2_cases(args)
     # refuse an oversized cell before any note or solve
     for d, n in cases:
-        check_solve_memory(GridSpec(d, n))
+        check_solve_memory(GridSpec(d, n), args.rhs)
     rows = table2_rows(cases, tol=args.tol, rhs=args.rhs, seed=args.seed, progress=_note)
     write_table(ITERATION_HEADERS, iteration_cells(rows), args.out, args.format)
     codes = [_unconverged(f"d={r.d} n={r.n} precond={precond}", converged, iterations)
@@ -220,7 +220,7 @@ def _cmd_table2(args) -> int:
 def _cmd_figures(args) -> int:
     # refuse an oversized case before any note, directory or file
     for d, n in experiments.FIGURE_RESIDUAL_CASES:
-        check_solve_memory(GridSpec(d, n))
+        check_solve_memory(GridSpec(d, n), args.rhs)
     os.makedirs(args.out, exist_ok=True)
     extension = "csv" if args.format == "csv" else "md"
 
@@ -242,6 +242,7 @@ def _cmd_figures(args) -> int:
             name = f"residuals_{d}d_n{n}_{precond}"
             write(name, RESIDUAL_HEADERS, residual_cells(report))
             codes.append(_unconverged(name, report.converged, report.iterations))
+            del report  # kept, its solution would be a fifth vector beside the next solve
     return max(codes)
 
 

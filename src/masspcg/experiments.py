@@ -73,10 +73,13 @@ def rhs_random(spec: GridSpec, seed: int = DEFAULT_SEED) -> np.ndarray:
 
 
 def make_rhs(spec: GridSpec, kind: str = "ones", seed: int = DEFAULT_SEED) -> np.ndarray:
+    """The right-hand side ``b``: for "ones" a read-only stride-0 view of one
+    stored 1.0, for "random" :func:`rhs_random`'s vector. A solve only reads
+    ``b``, so the view stores no vector."""
     if kind not in RHS_KINDS:
         raise ValueError(f"rhs kind must be one of {RHS_KINDS}, got {kind!r}")
     if kind == "ones":
-        return np.ones(spec.size)
+        return np.broadcast_to(1.0, spec.size)
     return rhs_random(spec, seed)
 
 
@@ -84,9 +87,10 @@ class SolveMemoryError(RuntimeError):
     """A solve's work vectors would not fit in physical memory."""
 
 
-def check_solve_memory(spec: GridSpec):
-    """Raise SolveMemoryError when a solve's work vectors exceed physical memory."""
-    needed = WORK_VECTORS * 8 * spec.size
+def check_solve_memory(spec: GridSpec, rhs: str):
+    """Raise SolveMemoryError when a solve's work vectors, and the vector of a
+    "random" rhs kind, exceed physical memory ("ones" stores no vector)."""
+    needed = (WORK_VECTORS + (rhs == "random")) * 8 * spec.size
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if needed > physical:
         raise SolveMemoryError(
@@ -109,7 +113,7 @@ def run_solve(
     Raises SolveMemoryError, before allocating anything, when the solve's
     work vectors would exceed physical memory.
     """
-    check_solve_memory(spec)
+    check_solve_memory(spec, rhs)
     b = make_rhs(spec, rhs, seed)
     config = SolveConfig(
         tol=tol * norm2(b),

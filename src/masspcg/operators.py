@@ -138,7 +138,8 @@ def cg_workspace(spec: GridSpec, b: np.ndarray, mass: bool) -> tuple:
     ``xp_laplacian(alpha, beta)`` makes ``x += p*alpha``, then
     ``p = p*beta + z``, then ``Ap = A p`` in one sweep; ``step(alpha)`` makes
     ``r -= Ap*alpha``; ``mass()`` makes ``z = M r``, and is None in plain CG.
-    ``b`` is a checked float64 grid vector."""
+    ``b`` is a checked float64 grid vector, copied into r and never written,
+    so a read-only or stride-0 view serves."""
     d, n, h, size = spec.d, spec.n, spec.h, spec.size
     x, r, p, Ap = _vector(size, 0.0), _vector(size, b), _vector(size, 0.0), _vector(size)
     z = Ap if mass else r

@@ -39,8 +39,8 @@ class NumericalBreakdownError(RuntimeError):
 
 PRECONDITION_KINDS = ("none", "mass")
 
-#: Length-N float64 vectors one solve holds: b, x, r, p, and Ap, shared by z.
-WORK_VECTORS = 5
+#: Length-N float64 vectors one solve allocates: x, r, p, and Ap, shared by z.
+WORK_VECTORS = 4
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,8 @@ def cg_solve(
     spec : GridSpec
         Grid defining the Laplacian.
     b : ndarray
-        Right-hand side, length ``spec.size``.
+        Right-hand side, length ``spec.size``. It is read, never written, so
+        it may be a read-only view, such as a stride-0 vector of ones.
     config : SolveConfig, optional
         Tolerance, iteration cap, preconditioning flag; defaults apply when
         omitted.

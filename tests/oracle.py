@@ -165,23 +165,55 @@ def rayleigh_eigenvalues(kind: OperatorKind, spec: GridSpec) -> list[RayleighEig
     return out
 
 
+def ascending_cosines(spec: GridSpec, start: int, stop: int) -> np.ndarray:
+    """Positions ``start..stop-1`` of the ascending cosine axis, position i
+    holding ``cos(pi*h*k)`` for ``k = n - i``: the arithmetic of
+    ``spectrum.axis_cosines``, made in one array."""
+    k = np.arange(spec.n - start, spec.n - stop, -1, dtype=np.float64)
+    k *= np.pi * spec.h
+    return np.cos(k, out=k)
+
+
+def _full_scan_argmax_1d(spec: GridSpec, block: int) -> tuple[int]:
+    """The 1D reduction of :func:`full_scan_argmax`: the first cosine at or
+    above the vertex -1/2 of ``(2+x)(1-x)`` and the one before it (the last
+    cosine alone when none is), the axis made ``block`` cosines at a time up to
+    the block that holds the vertex, one block held at a time."""
+    n, below = spec.n, None  # (position, cosine) of the last cosine below the vertex
+    for start in range(0, n, block):
+        cs = ascending_cosines(spec, start, min(n, start + block))
+        i = int(np.searchsorted(cs, -0.5))
+        if i < cs.size:
+            pairs = [(start + i, cs[i]), (start + i - 1, cs[i - 1]) if i else below or (0, cs[0])]
+            break
+        below = (start + i - 1, cs[-1])
+        del cs
+    else:
+        pairs = [below]
+    # offset 0 before -1, the first maximum kept
+    j, _ = max(pairs, key=lambda pair: (2.0 + pair[1]) * (1.0 - pair[1]))
+    return (n - j,)
+
+
 def full_scan_argmax(spec: GridSpec, block: int = 1 << 22) -> tuple[int, ...]:
     """Argmax frequency tuple of the preconditioned spectrum by the full scan.
 
     The parabola-vertex reduction over every assignment of the other ``d-1``
     coordinates, in blocks of about ``block`` tuples (whole rows of the first
     other coordinate, at least one), offset 0 before -1, the first maximum
-    kept. It ranks
+    kept; in 1D the axis itself in blocks of ``block`` cosines. It ranks
     with its own arithmetic, ``(2+x) * prod(2+o) * (d - sum(o) - x)``, not the
     package's, so the scan is checked against code it does not share.
     """
     n, d = spec.n, spec.d
+    if d == 1:
+        return _full_scan_argmax_1d(spec, block)
     cs = spectrum.axis_cosines(spec)[::-1]  # ascending: position i holds k = n - i
     others = list(np.meshgrid(*([cs] * (d - 1)), indexing="ij", sparse=True))
-    stride = n ** max(d - 2, 0)  # tuples per position of the first other coordinate
+    stride = n ** (d - 2)  # tuples per position of the first other coordinate
     rows = max(1, block // stride)
     best_val, best = -np.inf, ()
-    for start in range(0, n if others else 1, rows):
+    for start in range(0, n, rows):
         s_other, p_other = 0.0, 1.0
         # only the first other coordinate is cut into blocks
         for o in [o[start : start + rows] for o in others[:1]] + others[1:]:

@@ -1,5 +1,5 @@
+import os
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from masspcg import GridSpec
 from masspcg.cli import EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 from masspcg.spectrum import OperatorKind
 from test_solver import counted_kernels, negating
+from tracing import traced_peak
 
 
 def run_cli(capsys, *argv):
@@ -60,12 +61,9 @@ def test_spectrum_output_memory_is_bounded_by_a_batch(tmp_path):
     # 4 of them), not the text: 37.3 MiB when the text was whole in memory
     target = tmp_path / "spectrum.csv"
     argv = ["spectrum", "--dim", "2", "--n", "512", "--kind", "preconditioned", "--out", str(target)]
-    tracemalloc.start()
-    try:
-        assert main(argv) == EXIT_OK
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    small = ["spectrum", "--dim", "2", "--n", "8", "--kind", "preconditioned", "--out", str(target)]
+    code, peak = traced_peak(lambda: main(argv), warm_up=lambda: main(small))
+    assert code == EXIT_OK
     assert peak <= 4 * 8 * 512 * 512
     cells = experiments.spectrum_cells(OperatorKind.PRECONDITIONED, GridSpec(2, 512))
     assert target.read_bytes() == experiments.render_table(experiments.SPECTRUM_HEADERS, cells).encode()
@@ -170,6 +168,32 @@ def test_solve_backed_commands_memory_check(argv, tmp_path, capsys, monkeypatch)
     code, _, err = run_cli(capsys, *argv)
     assert code == EXIT_RESOURCE
     assert "physical memory" in err
+
+
+@pytest.mark.parametrize("rhs, expected", [("ones", EXIT_OK), ("random", EXIT_RESOURCE)])
+@pytest.mark.parametrize("argv", [("solve", "--dim", "2", "--n", "64"), ("table2", "--dim", "2", "--n", "64"),
+                                  ("figures", "--out", "figs")])
+def test_solve_backed_commands_count_a_stored_rhs(argv, rhs, expected, tmp_path, capsys, monkeypatch):
+    # room for 4.5 vectors of the grid: a solve's work vectors fit, and a
+    # random rhs stored beside them does not
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(experiments, "FIGURE_SPECTRUM_CASES", ())
+    monkeypatch.setattr(experiments, "FIGURE_RESIDUAL_CASES", ((2, 64),))
+    pages = int(4.5 * 8 * 64**2) // 4096
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 4096}.__getitem__)
+    code, _, err = run_cli(capsys, *argv, "--rhs", rhs)
+    assert code == expected
+    assert ("physical memory" in err) == (expected == EXIT_RESOURCE)
+
+
+def test_figures_hold_one_solve_at_a_time(tmp_path, capsys, monkeypatch):
+    # each report is dropped once its history is written: kept through the
+    # next solve, its solution made the peak 5.09 vectors
+    monkeypatch.setattr(experiments, "FIGURE_RESIDUAL_CASES", ((3, 48), (3, 48)))
+    argv = ["figures", "--out", str(tmp_path)]
+    code, peak = traced_peak(lambda: main(argv))
+    assert code == EXIT_OK
+    assert peak <= 4.25 * 8 * 48**3
 
 
 def test_table2_checks_every_cell_before_solving(capsys):

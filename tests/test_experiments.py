@@ -1,6 +1,7 @@
+import dataclasses
 import io
+import os
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from masspcg.experiments import (
     TABLE1_SIZES,
     TABLE2_CASES,
     WRITE_ROWS,
+    SolveMemoryError,
     _run_starts,
+    check_solve_memory,
     condition_cells,
     iteration_cells,
     iteration_row,
@@ -30,8 +33,10 @@ from masspcg.experiments import (
     write_table,
     write_text,
 )
-from masspcg.solver import WORK_VECTORS
+from masspcg.solver import WORK_VECTORS, SolveConfig, SolveReport, cg_solve
 from masspcg.spectrum import OperatorKind, SpectrumCapError, full_spectrum
+from test_operators import stencil_kernels
+from tracing import traced_peak
 
 
 def test_rhs_random_matches_reference_stream():
@@ -62,6 +67,62 @@ def test_make_rhs_dispatch_and_validation():
     np.testing.assert_array_equal(make_rhs(spec, "random", seed=3), rhs_random(spec, 3))
     with pytest.raises(ValueError):
         make_rhs(spec, "gaussian")
+
+
+def test_make_rhs_ones_is_a_read_only_view_of_one_value():
+    # a solve only reads b, so "ones" stores one 1.0, not a vector of them
+    spec = GridSpec(3, 64)
+    b, peak = traced_peak(lambda: make_rhs(spec, "ones"))
+    assert peak < 1024
+    assert b.shape == (spec.size,) and b.strides == (0,) and not b.flags.writeable
+    np.testing.assert_array_equal(b, np.ones(spec.size))
+    with pytest.raises(ValueError):
+        b[0] = 2.0
+
+
+@pytest.mark.parametrize("spec, tol, precondition, replacements", [
+    (GridSpec(2, 16), 1e-8, "none", 0),
+    (GridSpec(2, 16), 1e-8, "mass", 0),
+    (GridSpec(2, 7), 1e-15, "none", 3),
+    (GridSpec(1, 6), 1e-15, "mass", 1),
+], ids=["converged-plain", "converged-mass", "replaced-plain", "replaced-mass"])
+def test_run_solve_reads_ones_as_a_stored_vector(spec, tol, precondition, replacements, monkeypatch):
+    # the view is read where a vector of ones was: copied into r, in ||b||,
+    # and by the drift guard's b - A x, so every bit and count is the same
+    ones = np.ones(spec.size)
+    config = SolveConfig(tol=tol * norm2(ones), precondition=precondition)
+    for kernels in stencil_kernels():
+        monkeypatch.setattr(operators, "_kernels", kernels)
+        got = run_solve(spec, tol=tol, precondition=precondition, rhs="ones")
+        want = cg_solve(spec, ones, config=config)
+        assert got.replacements == replacements, kernels
+        for field in dataclasses.fields(SolveReport):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            same = a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else a == b
+            assert same, (kernels, field.name)
+
+
+@pytest.mark.parametrize("precondition", ["none", "mass"])
+def test_run_solve_with_ones_holds_its_work_vectors(precondition):
+    # x, r, p and Ap, the history and small change: a stored vector of ones
+    # made the peak 5.0 vectors
+    spec = GridSpec(3, 48)
+    report, peak = traced_peak(lambda: run_solve(spec, precondition=precondition))
+    assert report.converged
+    assert peak <= 4.25 * 8 * spec.size
+
+
+def test_memory_check_counts_a_stored_rhs(monkeypatch):
+    # room for 4.5 vectors: a solve allocates WORK_VECTORS, and a random
+    # rhs is one more vector; "ones" is none
+    spec = GridSpec(1, 4096)
+    pages = int(4.5 * 8 * spec.size) // 4096
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 4096}.__getitem__)
+    check_solve_memory(spec, "ones")
+    with pytest.raises(SolveMemoryError):
+        check_solve_memory(spec, "random")
+    with pytest.raises(SolveMemoryError):
+        run_solve(spec, rhs="random")
 
 
 @pytest.mark.parametrize("rhs", ["ones", "random"])
@@ -226,25 +287,15 @@ def test_spectrum_cells_raise_the_cap_at_the_call(kind):
         spectrum_cells(kind, GridSpec(2, 1025))
 
 
-def traced_peak(make):
-    tracemalloc.start()
-    try:
-        result = make()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("backend", ["default", "numpy"])
 def test_iteration_row_holds_one_solve_of_work_vectors(backend, monkeypatch):
     # only the plain solve's counts outlive it: its report, solution vector
     # and all, kept through the mass solve made the peak 6.01 vectors (6.14
-    # with the numpy sweeps). In 3D the sweeps' own temporaries, a plane and
-    # a chunk, fit in the quarter vector of margin
+    # with the numpy sweeps) when b was stored. In 3D the sweeps' own
+    # temporaries, a plane and a chunk, fit in the quarter vector of margin
     if backend == "numpy":
         monkeypatch.setattr(operators, "_kernels", sweeps)
-    iteration_row(2, 8)  # first-use allocations stay out of the trace
-    _, peak = traced_peak(lambda: iteration_row(3, 80))
+    _, peak = traced_peak(lambda: iteration_row(3, 80), warm_up=lambda: iteration_row(2, 8))
     assert peak <= (WORK_VECTORS + 0.25) * 8 * 80**3
 
 

@@ -41,7 +41,7 @@ def test_numpy_integer_n_cannot_wrap_the_resource_checks():
     spec = GridSpec(3, np.int64(2**21))
     assert spec.size == 2**63
     with pytest.raises(SolveMemoryError):
-        check_solve_memory(spec)
+        check_solve_memory(spec, "ones")
     with pytest.raises(SpectrumCapError):
         spectrum_report(OperatorKind.PRECONDITIONED, GridSpec(3, np.int64(2**32)))
 

@@ -4,7 +4,6 @@ import functools
 import re
 import subprocess
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +22,7 @@ from masspcg import (
     eigenvalue,
 )
 from oracle import apply_operator, reference_laplacian, reference_mass, sine_vector
+from tracing import traced_peak
 
 try:
     from numpy._core._multiarray_umath import __cpu_features__ as CPU_FEATURES
@@ -550,12 +550,7 @@ def test_fallback_allocates_no_vector_sized_temporary(spec):
         "xp_laplacian": lambda: sweeps.xp_laplacian(d, n, x, p, r, Ap, 0.37, 1.9, 2.0 * d, h**2),
     }
     for name, call in calls.items():
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(call)
         assert peak < 8 * spec.size / 2, (name, peak)
 
 

@@ -1,5 +1,4 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from masspcg import (
     norm2,
 )
 from test_operators import CountedKernels, stencil_kernels
+from tracing import traced_peak
 
 SPECS = [GridSpec(1, 40), GridSpec(2, 12), GridSpec(3, 5)]
 
@@ -530,20 +530,15 @@ def test_work_vectors_start_on_a_page(monkeypatch):
 @pytest.mark.parametrize("precondition", ["none", "mass"])
 def test_solve_stays_within_its_work_vectors(precondition, monkeypatch):
     # more than CHUNK values, so the numpy update's temporary is a chunk; the
-    # caller's b is allocated before tracing, so a solve may add the other
-    # WORK_VECTORS - 1, the numpy mass sweep's plane, that chunk and small change
+    # caller's b is allocated before tracing, so a solve may add its
+    # WORK_VECTORS, the numpy mass sweep's plane, that chunk and small change
     spec = GridSpec(3, 48)
     assert spec.size > sweeps.CHUNK
     b = np.ones(spec.size)
     config = SolveConfig(tol=1e-8 * norm2(b), precondition=precondition, record_history=False)
-    budget = (solver.WORK_VECTORS - 1) * 8 * spec.size + 8 * spec.n**2 + 8 * sweeps.CHUNK + (64 << 10)
+    budget = solver.WORK_VECTORS * 8 * spec.size + 8 * spec.n**2 + 8 * sweeps.CHUNK + (64 << 10)
     for kernels in stencil_kernels():
         monkeypatch.setattr(operators, "_kernels", kernels)
-        tracemalloc.start()
-        try:
-            report = cg_solve(spec, b, config=config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_peak(lambda: cg_solve(spec, b, config=config))
         assert report.converged
         assert peak <= budget, (kernels, peak / (8 * spec.size))

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +16,8 @@ from masspcg import (
     ratio_report,
     spectrum_report,
 )
-from oracle import full_scan_argmax
+from oracle import ascending_cosines, full_scan_argmax
+from tracing import traced_peak
 
 ALL_KINDS = list(OperatorKind)
 
@@ -290,6 +290,28 @@ def test_1d_argmax_scans_only_cosines_around_the_vertex():
         assert spectrum._preconditioned_max(spec) == full_scan_argmax(spec), n
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000])
+def test_1d_full_scan_blocks_are_the_axis_cosines(n):
+    # the 1D full scan makes its axis a block at a time in its own
+    # arithmetic: each block must be its slice of axis_cosines bit for bit,
+    # and the argmax must not depend on where the blocks are cut
+    spec = GridSpec(1, n)
+    axis = spectrum.axis_cosines(spec)[::-1]
+    for block in (1, 2, 7, 1 << 22):
+        for start in range(0, n, block):
+            cs = ascending_cosines(spec, start, min(n, start + block))
+            assert cs.tobytes() == axis[start : start + block].tobytes(), (block, start)
+        assert full_scan_argmax(spec, block) == spectrum._preconditioned_max(spec), block
+
+
+def test_1d_full_scan_holds_one_block():
+    # one block of 2**22 cosines (32 MiB) at a time; the whole axis with its
+    # int64 arange and scaled copy traced 384 MiB at this size
+    argmax, peak = traced_peak(lambda: full_scan_argmax(GridSpec(1, 2**24)))
+    assert argmax == spectrum._preconditioned_max(GridSpec(1, 2**24))
+    assert peak <= 64 * 2**20
+
+
 @pytest.mark.parametrize("d", sorted(PINNED_ARGMAX))
 def test_preconditioned_argmax_pinned(d):
     limit, digest = PINNED_ARGMAX[d]
@@ -387,10 +409,5 @@ def test_am_gm_bound_dominates_every_row(d, n):
 def test_3d_condition_scan_stays_small():
     # the full scan held n**2 tuples per offset at once (256 MiB traced at
     # n = 4096, in four blocks); the pruned one holds a row or two of n
-    tracemalloc.start()
-    try:
-        spectrum_report(OperatorKind.PRECONDITIONED, GridSpec(3, 4096))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: spectrum_report(OperatorKind.PRECONDITIONED, GridSpec(3, 4096)))
     assert peak < 8 * 2**20
