@@ -12,6 +12,7 @@ breakdown, 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -67,8 +68,8 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be a positive real")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be a positive finite real")
     return value
 
 

@@ -59,8 +59,8 @@ class SolveConfig:
     record_history: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.tol, numbers.Real) or isinstance(self.tol, bool) or not self.tol > 0:
-            raise ValueError(f"tol must be a positive number, got {self.tol}")
+        if not isinstance(self.tol, numbers.Real) or isinstance(self.tol, bool) or not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be a positive finite number, got {self.tol}")
         if self.max_iter is not None and (not is_integer(self.max_iter) or self.max_iter < 1):
             raise ValueError(f"max_iter must be a positive integer or None, got {self.max_iter}")
         if self.precondition not in PRECONDITION_KINDS:

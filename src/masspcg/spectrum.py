@@ -17,10 +17,10 @@ the discrete maximum sits at an asymmetric tuple mixing ``k`` and ``n+1-k``.
 
 Per coordinate, each eigenvalue is monotone (Laplacian, mass) or a concave
 parabola (preconditioned) in its cosine, so minima sit on the corner multisets
-``(1,)*(d-m) + (n,)*m`` and preconditioned maxima next to the vertex, where an
-AM-GM row bound leaves few rows to scan in one pass (:func:`_preconditioned_max`):
-1-2 in 3D up to n = 4096 and in 2D up to n = 2**20, 6 at 2D n = 2**22 and
-24-25 at 2**24 - 1 and 2**24.
+``(1,)*(d-m) + (n,)*m`` and preconditioned maxima in a window of frequencies
+around the continuous maximizer, which an AM-GM bound closes
+(:func:`_preconditioned_max`): at most 6 frequencies per axis in 3D up to
+n = 4096, in 2D below n = 4,080,205 and in 1D below 5,440,574; 34 at most.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ CLOSED_FORM_RTOL = 1e-12
 #: Limit of the condition-number ratio r = kappa/kappa_p as h -> 0, by dimension.
 ASYMPTOTIC_RATIO_LIMIT = {1: 8 / 3, 2: 9 / 2, 3: 512 / 81}
 
-#: Cap on ``n**max(d-1, 1)``: the grids the extreme-eigenvalue scan takes.
+#: Cap on ``n**max(d-1, 1)``: the grids the extreme-eigenvalue scan takes, a
+#: bound on the grid (the exit-3 contract), not on the scan's window.
 SCAN_CAP = 2**24
 
 
@@ -180,41 +181,27 @@ def full_spectrum(kind: OperatorKind, spec: GridSpec) -> np.ndarray:
 def _preconditioned_max(spec: GridSpec) -> tuple[int, ...]:
     """Argmax frequency tuple of the preconditioned spectrum, by exact scan.
 
-    For fixed other coordinates the eigenvalue is ``const * (2+x)(K-x)`` in the
-    remaining cosine ``x``, a concave parabola, so the per-coordinate discrete
-    argmax is one of the two cosines bracketing the vertex ``(K-2)/2``. For
-    d >= 2 a row fixes the first other cosine ``y`` too; AM-GM over the ``d``
-    factors left (sum ``3d-2-y``) bounds it by ``(2/3**d)(2+y)((3d-2-y)/d)**d``.
-    Only rows whose bound times ``1 + 1e-12`` reaches the best value of the
-    row of largest bound are scanned (rounding lifts a value over its bound by
-    a few ulps at most), in one pass, the candidates ranked by
-    :func:`_eigenvalues`. No skipped row holds a maximum, so the argmax's value
-    is the largest in :func:`full_spectrum`, bit for bit.
+    With one cosine fixed at ``y``, AM-GM over the ``d`` factors left (sum
+    ``3d-2-y``) bounds the eigenvalue by ``(2/3**d)(2+y)((3d-2-y)/d)**d``,
+    unimodal in ``y`` with its peak at the continuous maximizer. So one
+    :func:`_eigenvalues` call ranks every tuple of the window ``k = mid-w ..
+    mid+w+1`` (within 1..n) around ``mid = _closed_form_index(spec)``, and the
+    scan stops once the bound at both outer neighbours times ``1 + 1e-12``
+    (rounding lifts a value over its bound by a few ulps at most) is below the
+    window's maximum; else it doubles ``w``, from 2. No tuple outside the
+    window then reaches that value, the last of :func:`full_spectrum`, bit for
+    bit. Ties go to the first maximum in ascending-frequency order, sorted.
     """
-    n, d, top, kind = spec.n, spec.d, spec.n, OperatorKind.PRECONDITIONED
-    if d == 1:
-        # 1D needs only the cosines around the vertex -1/2
-        top = min(n, _closed_form_index(spec) + 4)
-        cs = _cosines(spec, np.arange(top, max(top - 8, 0), -1))
-    else:
-        cs = axis_cosines(spec)[::-1]
-    # ascending: position i holds k = top - i
-    others = list(np.meshgrid(*([cs] * (d - 1)), indexing="ij", sparse=True, copy=False))
-
-    def scan(rows):  # first largest value over the rows, and its positions
-        other = [o[rows] for o in others[:1]] + others[1:]
-        pos = np.searchsorted(cs, (d - sum(other, 0.0) - 2.0) / 2.0)
-        j = np.clip([pos, pos - 1], 0, len(cs) - 1)
-        lam = np.reshape(_eigenvalues(kind, spec, [cs[j], *other]), (2, len(rows), -1))
+    n, d, kind = spec.n, spec.d, OperatorKind.PRECONDITIONED
+    mid, w = _closed_form_index(spec), 2
+    while True:
+        k = np.arange(max(1, mid - w), min(n, mid + w + 1) + 1)
+        lam = _eigenvalues(kind, spec, np.meshgrid(*[_cosines(spec, k)] * d, indexing="ij", sparse=True))
         i = np.unravel_index(np.argmax(lam), lam.shape)
-        return lam[i], (j.reshape(lam.shape)[i], rows[i[1]], i[2])[:d]
-
-    rows = np.zeros(1, dtype=np.intp)  # 1D: the one scan
-    if others:
-        bound = 2.0 / 3.0**d * (2.0 + cs) * ((3 * d - 2 - cs) / d) ** d
-        floor, _ = scan(rows + np.argmax(bound))
-        rows = np.flatnonzero(bound * (1.0 + 1e-12) >= floor)
-    return tuple(sorted(top - int(i) for i in scan(rows)[1]))
+        y = _cosines(spec, np.array([k[0] - 1, k[-1] + 1])[[k[0] > 1, k[-1] < n]])
+        if np.all(2.0 / 3.0**d * (2.0 + y) * ((3 * d - 2 - y) / d) ** d * (1.0 + 1e-12) < lam[i]):
+            return tuple(sorted(int(k[j]) for j in i))
+        w *= 2
 
 
 def _closed_form_index(spec: GridSpec) -> int:

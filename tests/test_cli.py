@@ -306,6 +306,24 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "solve", "--dim", "1", "--n", "0")[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [["solve", "--dim", "1", "--n", "3"],
+                                  ["table2", "--dim", "2", "--n", "4"]])
+@pytest.mark.parametrize("tol", ["inf", "1e309", "nan"])
+def test_tolerance_must_be_finite(capsys, argv, tol):
+    # --tol inf read "converged in 0 iterations" and a table2 row of zero
+    # counts, each with exit 0
+    code, out, err = run_cli(capsys, *argv, "--tol", tol)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "must be a positive finite real" in err
+
+
+def test_overflowing_absolute_tolerance_is_a_usage_error(capsys):
+    # tol * ||b|| = 1e308 * 2 overflows to inf before the solve
+    code, out, err = run_cli(capsys, "solve", "--dim", "1", "--n", "4", "--tol", "1e308")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: tol must be a positive finite number, got inf\n"
+
+
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == EXIT_OK
     assert run_cli(capsys, "solve", "--help")[0] == EXIT_OK

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -208,6 +209,13 @@ def test_config_refuses_a_value_of_another_type(field, value):
     # a truthy string recorded the history
     with pytest.raises(ValueError, match=f"{field} must be"):
         SolveConfig(**{field: value})
+
+
+@pytest.mark.parametrize("tol", [math.inf, np.float64("inf"), 1e309, math.nan])
+def test_config_refuses_a_tolerance_that_is_not_finite(tol):
+    # an infinite tol stopped every solve at r0 and reported it converged
+    with pytest.raises(ValueError, match="tol must be a positive finite number"):
+        SolveConfig(tol=tol)
 
 
 def test_config_takes_numpy_scalars():

@@ -22,6 +22,15 @@ from tracing import traced_peak
 ALL_KINDS = list(OperatorKind)
 
 
+@pytest.fixture
+def eigenvalue_calls(monkeypatch):
+    # the arguments of every spectrum._eigenvalues call, in order
+    calls = []
+    evaluate = spectrum._eigenvalues
+    monkeypatch.setattr(spectrum, "_eigenvalues", lambda *args: calls.append(args) or evaluate(*args))
+    return calls
+
+
 def test_trivial_eigenvalues_n1():
     # single unknown at h = 1/2: the operators are scalars 8, 1/6 and 4/3
     spec = GridSpec(1, 1)
@@ -233,17 +242,14 @@ def test_closed_form_index_clamped_for_tiny_grid():
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_preconditioned_report_evaluates_once_beyond_the_scan(d, monkeypatch):
+def test_preconditioned_report_evaluates_once_beyond_the_scan(d, eigenvalue_calls):
     # the corners, the scan's tuple and the closed form's symmetric tuple are
     # ranked in one evaluation, beyond those the scan makes
-    calls = []
-    evaluate = spectrum._eigenvalues
-    monkeypatch.setattr(spectrum, "_eigenvalues", lambda *args: calls.append(args) or evaluate(*args))
     spec = GridSpec(d, 9)
     spectrum._preconditioned_max(spec)
-    scan = len(calls)
+    scan = len(eigenvalue_calls)
     report = spectrum_report(OperatorKind.PRECONDITIONED, spec)
-    assert len(calls) == 2 * scan + 1
+    assert len(eigenvalue_calls) == 2 * scan + 1
     assert report.closed_form.index == spectrum._closed_form_index(spec)
 
 
@@ -282,8 +288,8 @@ PINNED_ARGMAX = {
 
 
 def test_1d_argmax_scans_only_cosines_around_the_vertex():
-    # the 1D scan evaluates eight cosines around k = 2/(3h), not all n; its
-    # argmax must be the full scan's, up to the scan cap
+    # the scan evaluates a window of frequencies around k = 2/(3h), not all
+    # n; its argmax must be the full scan's, up to the scan cap
     sizes = list(range(1, 3001)) + [65536, 10**6 + 1, 2**24]
     for n in sizes:
         spec = GridSpec(1, n)
@@ -320,6 +326,47 @@ def test_preconditioned_argmax_pinned(d):
         for n in range(1, limit + 1)
     )
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of the lines "n (k1, ..., kd) lambda_max kappa closed_form.kappa\n"
+# (floats as float.hex), n over the ranges of PINNED_ARGMAX, of the
+# preconditioned report; recorded before the scan became one window loop
+PINNED_REPORT_BITS = {
+    1: "f72ef8bdb9f2e543070356735ce64778663d7cddbdad648118d9e1e890b8bf22",
+    2: "dd834f08bb50531acad6289e0971a7cdbb3f102a16e840728fe31290c699a18f",
+    3: "725327d440a4f6f0bb66e052bfdff4aa46430d4cc1a41cd5d06da9ef06a06517",
+}
+
+
+@pytest.mark.parametrize("d", sorted(PINNED_REPORT_BITS))
+def test_preconditioned_report_bits_pinned(d):
+    lines = []
+    for n in range(1, PINNED_ARGMAX[d][0] + 1):
+        r = spectrum_report(OperatorKind.PRECONDITIONED, GridSpec(d, n))
+        lines.append(f"{n} {r.argmax} {r.lambda_max.hex()} {r.kappa.hex()} {r.closed_form.kappa.hex()}\n")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == PINNED_REPORT_BITS[d]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_window_covers_tiny_axes(d, n, eigenvalue_calls):
+    # the first window, k = mid-2 .. mid+3, is the whole axis for n <= 4: one
+    # evaluation of all n cosines per axis, with no outer neighbour to bound
+    spec = GridSpec(d, n)
+    assert spectrum._preconditioned_max(spec) == full_scan_argmax(spec)
+    (_, _, cosines), = eigenvalue_calls
+    axis = spectrum.axis_cosines(spec)
+    assert [c.tobytes() for c in cosines] == [axis.tobytes()] * d
+
+
+@pytest.mark.parametrize("d, argmax", [(1, (11184811,)), (2, (8388608, 8388609))])
+def test_window_widens_at_the_scan_cap(d, argmax, eigenvalue_calls):
+    # at n = 2**24 in 1D and 2D the first windows are too narrow for their
+    # outer bounds to clear the maximum, so the scan doubles w and evaluates
+    # again; the argmax stays the full scan's (1D, also checked against the
+    # oracle above) and the pinned one (2D)
+    assert spectrum._preconditioned_max(GridSpec(d, 2**24)) == argmax
+    assert len(eigenvalue_calls) > 1
 
 
 # the pruned scan against the full one: every 2D and 3D size up to a limit,
@@ -371,15 +418,16 @@ def test_pruned_scan_keeps_the_block_tie_order(n):
 @pytest.mark.parametrize("n, argmax", [(2**24 - 1, (8388608, 8388608)),
                                        (2**24, (8388608, 8388609))])
 def test_2d_argmax_pinned_at_the_scan_cap(n, argmax):
-    # the largest 2D grids the scan takes: at n = 2**24 - 1 the AM-GM bound
-    # keeps 25 rows, the most of any grid tried
+    # the largest 2D grids the scan takes: at n = 2**24 - 1 and 2**24 the
+    # window grows to w = 16, the widest of any grid tried
     assert spectrum_report(OperatorKind.PRECONDITIONED, GridSpec(2, n)).argmax == argmax
 
 
 def full_scan_row_maxima(spec):
-    # the largest value the full scan computes in each row (position of the
-    # first other coordinate), ascending cosines, both vertex offsets, each
-    # valued by the package's eigenvalue arithmetic, as the scan ranks them
+    # the largest value in each row (position of the first other coordinate,
+    # ascending cosines), over the two cosines bracketing the parabola's
+    # vertex in the last coordinate, each valued by the package's eigenvalue
+    # arithmetic, as the scan ranks them
     n, d = spec.n, spec.d
     cs = spectrum.axis_cosines(spec)[::-1]
     others = np.meshgrid(*([cs] * (d - 1)), indexing="ij", sparse=True)
@@ -395,11 +443,12 @@ def full_scan_row_maxima(spec):
 @pytest.mark.parametrize("d, n", [(2, 1), (2, 41), (2, 64), (2, 1001), (2, 65536),
                                   (2, 2**20 + 1), (3, 1), (3, 74), (3, 128), (3, 255), (3, 512)])
 def test_am_gm_bound_dominates_every_row(d, n):
-    # the row bound (2/3**d)(2+y)((3d-2-y)/d)**d, as the scan applies it,
-    # against the row's computed eigenvalues: in floating point a value can
+    # the bound (2/3**d)(2+y)((3d-2-y)/d)**d at one cosine y, as the scan
+    # applies it at the window's outer neighbours, against the computed
+    # eigenvalues of the row with that cosine: in floating point a value can
     # pass its bound, by a few ulps where the bound is nearly attained (2D odd
     # n has the exact tie at y = 0), but by far less than the scan's 1e-12
-    # margin, which therefore never decides a row
+    # margin, so the margin never stops a window that leaves out the maximum
     cs, row_max = full_scan_row_maxima(GridSpec(d, n))
     bound = 2.0 / 3.0**d * (2.0 + cs) * ((3 * d - 2 - cs) / d) ** d
     excess = (row_max - bound) / bound
@@ -408,6 +457,13 @@ def test_am_gm_bound_dominates_every_row(d, n):
 
 def test_3d_condition_scan_stays_small():
     # the full scan held n**2 tuples per offset at once (256 MiB traced at
-    # n = 4096, in four blocks); the pruned one holds a row or two of n
+    # n = 4096, in four blocks); the window scan holds 6**3 tuples here
     _, peak = traced_peak(lambda: spectrum_report(OperatorKind.PRECONDITIONED, GridSpec(3, 4096)))
-    assert peak < 8 * 2**20
+    assert peak <= 2**20
+
+
+def test_2d_condition_scan_stays_small():
+    # the largest 2D grid the scan takes: n-long arrays would be hundreds of
+    # MiB here, while the window holds at most 34**2 tuples
+    _, peak = traced_peak(lambda: spectrum_report(OperatorKind.PRECONDITIONED, GridSpec(2, 2**24)))
+    assert peak <= 2**20
